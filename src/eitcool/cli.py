@@ -279,6 +279,8 @@ def _run_cool(cfg, out, jobs):
         "n_ss": res.n_ss,
         "fit_converged": res.fit_converged,
         "truncation_flagged": res.truncation_flagged,
+        "top_fock_population": res.top_fock_population,
+        "max_trace_correction": res.max_trace_correction,
     })
     return [path, jpath]
 

@@ -70,6 +70,11 @@ class CoolingResult:
     fit_converged: bool = True
     truncation_flagged: bool = False
     top_fock_population: float = 0.0
+    max_trace_correction: float = 0.0   # largest |tr - 1| renormalised away
+
+
+class AllPointsFailedError(RuntimeError):
+    """Every point of a detuning scan failed, so it has no minimum."""
 
 
 def hamiltonian_moving(p, m):
@@ -121,7 +126,8 @@ class _SplitPropagator:
 
     Jump channels: three atomic decays (each gamma/3, e-block copied to
     the ground diagonal blocks) and the symmetric heating pair
-    sqrt(Gh) a, sqrt(Gh) a^dag, applied via index-shifted views.
+    sqrt(Gh) a, sqrt(Gh) a^dag, applied via index-shifted views.  Work
+    buffers are allocated once, so a step allocates no d x d temporaries.
     """
 
     def __init__(self, p, m, heating, dt):
@@ -131,9 +137,10 @@ class _SplitPropagator:
         self.heating = heating
         h = hamiltonian_moving(p, m)
         nf = self.nf
+        d = 4 * nf
         heff = h.astype(complex)
         # -i/2 sum c^dag c: atomic decay damps the e block
-        damp = np.zeros(4 * nf)
+        damp = np.zeros(d)
         damp[:nf] = p.gamma
         if heating > 0:
             fock = FockOperators(m.n_max)
@@ -141,26 +148,49 @@ class _SplitPropagator:
             damp += heating * np.tile(anti.real, 4)
         heff -= 0.5j * np.diag(damp)
         self.m1 = sla.expm(-1j * heff * dt)
-        self.m1d = self.m1.conj().T
-        self.sq = np.sqrt(np.arange(1, nf))
+        self.m1d = np.ascontiguousarray(self.m1.conj().T)
         self.nvec = np.arange(nf, dtype=float)
+        self.max_trace_correction = 0.0
+        self._prod = np.empty((d, d), dtype=complex)
+        self._decay = np.empty((nf, nf), dtype=complex)
+        if heating > 0:
+            # On the flattened rho a shift by d + 1 maps (r, c) to
+            # (r + 1, c + 1): |n><m| to |n+1><m+1| inside a block pair.  At
+            # a block's top Fock level the shift would cross into the next
+            # block (or wrap to the next row), so those weights are zero.
+            s = np.tile(np.sqrt(np.arange(1, nf + 1, dtype=float)), 4)
+            s[nf - 1::nf] = 0.0
+            w = (dt * heating * np.outer(s, s)).astype(complex)
+            self._heat_w = w.reshape(-1)[:-(d + 1)]
+            self._lower = np.empty_like(self._heat_w)
+            self._raise = np.empty_like(self._heat_w)
 
     def step(self, rho):
-        nf, dt = self.nf, self.dt
-        rho = self.m1 @ rho @ self.m1d
-        ee = rho[:nf, :nf]
-        w = dt * self.gamma / 3.0
+        """Advance rho by one dt, overwriting it in place; returns rho.
+
+        rho must be a C-contiguous complex (d, d) array.  The largest
+        |tr - 1| removed by the per-step renormalisation so far is kept in
+        max_trace_correction.
+        """
+        nf = self.nf
+        np.matmul(self.m1, rho, out=self._prod)
+        np.matmul(self._prod, self.m1d, out=rho)
+        np.multiply(rho[:nf, :nf], self.dt * self.gamma / 3.0,
+                    out=self._decay)
         for g in (PLUS, ZERO, MINUS):
-            rho[g * nf:(g + 1) * nf, g * nf:(g + 1) * nf] += w * ee
+            rho[g * nf:(g + 1) * nf, g * nf:(g + 1) * nf] += self._decay
         if self.heating > 0:
-            g = dt * self.heating
-            r4 = rho.reshape(4, nf, 4, nf)
-            s = self.sq
-            low = r4[:, 1:, :, 1:] * s[:, None, None] * s[None, None, :]
-            up = r4[:, :-1, :, :-1] * s[:, None, None] * s[None, None, :]
-            r4[:, :-1, :, :-1] += g * low      # a rho a^dag
-            r4[:, 1:, :, 1:] += g * up         # a^dag rho a
-        rho /= np.trace(rho).real
+            # both terms read the pre-update rho
+            flat, k = rho.reshape(-1), rho.shape[0] + 1
+            np.multiply(self._heat_w, flat[k:], out=self._lower)
+            np.multiply(self._heat_w, flat[:-k], out=self._raise)
+            flat[:-k] += self._lower           # a rho a^dag
+            flat[k:] += self._raise            # a^dag rho a
+        tr = np.trace(rho).real
+        self.max_trace_correction = max(self.max_trace_correction,
+                                        abs(tr - 1.0))
+        re_im = rho.view(np.float64)   # a real divide is cheaper than complex
+        re_im /= tr
         return rho
 
     def phonon_stats(self, rho):
@@ -191,7 +221,7 @@ def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
     for i, t_next in enumerate(t_list):
         n_steps = max(0, int(round((t_next - t) / dt)))
         for _ in range(n_steps):
-            rho = prop.step(rho)
+            prop.step(rho)
         t += n_steps * dt
         nbars[i], top = prop.phonon_stats(rho)
         top_max = max(top_max, top)
@@ -200,7 +230,8 @@ def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
     return CoolingResult(
         times=t_list, nbar=nbars, gamma_cool=gamma_cool, tau_cool=tau_cool,
         n_ss=n_ss, heating_rate=heating, fit_converged=ok,
-        truncation_flagged=top_max > 1e-3, top_fock_population=top_max)
+        truncation_flagged=top_max > 1e-3, top_fock_population=top_max,
+        max_trace_correction=prop.max_trace_correction)
 
 
 def _fit_exponential(t, nbar, nbar0):
@@ -224,26 +255,41 @@ def _fit_exponential(t, nbar, nbar0):
     return 1.0 / tau, tau, max(float(c), 0.0), True
 
 
+def _cool_at_detunings(p, m, deltas, t_list, nbar0, heating, dt):
+    """One simulate_cooling run per relative detuning.
+
+    The probe detuning stays fixed and the drive detuning is swept,
+    matching how the relative detuning is controlled in the lab.  Returns
+    (runs, finals): each point's CoolingResult (None where the run
+    raised) and its final nbar (NaN where it failed).  Raises
+    AllPointsFailedError when no point has a finite final nbar.
+    """
+    runs, last_exc = [], None
+    for rel in deltas:
+        pi = p.replace(delta_d=p.delta_p - rel)
+        try:
+            runs.append(simulate_cooling(pi, m, nbar0, t_list,
+                                         heating=heating, dt=dt))
+        except Exception as exc:
+            runs.append(None)
+            last_exc = exc
+    finals = np.array([np.nan if r is None else r.nbar[-1] for r in runs])
+    if not np.isfinite(finals).any():
+        raise AllPointsFailedError(
+            f"all {len(runs)} detuning points failed; last error: "
+            f"{last_exc!r}") from last_exc
+    return runs, finals
+
+
 def detuning_scan(p, m, deltas, t_fix, nbar0=7.0, heating=0.0, dt=4e-9):
     """Final nbar at t_fix versus relative detuning delta_p - delta_d.
 
-    The probe detuning stays fixed; the drive detuning is swept, matching
-    how the relative detuning is controlled in the lab.  Returns
-    (deltas, nbar_final, argmin_delta); failed points carry NaN.
+    Returns (deltas, nbar_final, argmin_delta); failed points carry NaN.
+    Raises AllPointsFailedError when every point fails.
     """
     deltas = np.asarray(deltas, dtype=float)
-    finals = np.empty(deltas.size)
-    for i, rel in enumerate(deltas):
-        pi = p.replace(delta_d=p.delta_p - rel)
-        try:
-            res = simulate_cooling(pi, m, nbar0, [t_fix], heating=heating,
-                                   dt=dt)
-            finals[i] = res.nbar[-1]
-        except Exception:
-            finals[i] = np.nan
-    valid = np.isfinite(finals)
-    argmin = float(deltas[valid][np.argmin(finals[valid])])
-    return deltas, finals, argmin
+    _, finals = _cool_at_detunings(p, m, deltas, [t_fix], nbar0, heating, dt)
+    return deltas, finals, float(deltas[np.nanargmin(finals)])
 
 
 def predicted_optimal_detuning(p, m):
@@ -258,8 +304,9 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
 
     Rabi frequencies scale as sqrt(power).  At each point the relative
     detuning is re-optimized on a coarse grid centered on the dressed
-    prediction before the dynamics are fitted.  Returns a list of dicts
-    with keys power, gamma_cool, n_ss, detuning, failed.
+    prediction; the row reports the fit of the grid run with the lowest
+    final nbar.  Returns a list of dicts with keys power, gamma_cool,
+    n_ss, detuning, failed.
     """
     if which not in ("drive", "probe"):
         raise ContractViolation("which must be 'drive' or 'probe'")
@@ -286,13 +333,14 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
             center = predicted_optimal_detuning(pi, m)
             grid = center + np.linspace(-coarse_halfwidth, coarse_halfwidth,
                                         n_coarse)
-            _, _, best = detuning_scan(pi, m, grid, t_final, nbar0=nbar0,
-                                       heating=heating, dt=dt)
-            popt = pi.replace(delta_d=pi.delta_p - best)
-            res = simulate_cooling(popt, m, nbar0, t_list, heating=heating,
-                                   dt=dt)
+            # the grid runs sample the whole t_list, so the argmin's run
+            # is the row's trajectory and is not repeated
+            runs, finals = _cool_at_detunings(pi, m, grid, t_list, nbar0,
+                                              heating, dt)
+            best = int(np.nanargmin(finals))
+            res = runs[best]
             row.update(gamma_cool=res.gamma_cool, n_ss=res.n_ss,
-                       detuning=best)
+                       detuning=float(grid[best]))
         except Exception:
             row["failed"] = True
         rows.append(row)

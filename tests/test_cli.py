@@ -76,6 +76,17 @@ class TestManifest:
         assert m["walltime_s"] >= 0.0
         assert "spectrum.csv" in m["artifacts"]
 
+    def test_cooling_fit_reports_solver_statistics(self, tmp_path):
+        code, _ = cli.run("fig2b", CHEAP_OVERRIDES["fig2b"]
+                          + [f"output_dir={tmp_path}"])
+        assert code == 0
+        with open(tmp_path / "cooling_fit.json") as fh:
+            fit = json.load(fh)
+        assert {"gamma_cool_per_s", "tau_cool_us", "n_ss", "fit_converged",
+                "truncation_flagged"} <= set(fit)
+        assert 0.0 <= fit["top_fock_population"] <= 1.0
+        assert 0.0 < fit["max_trace_correction"] < 1.0
+
     def test_deterministic_csv(self, tmp_path):
         blobs = []
         for run_dir in ("a", "b"):

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from eitcool import units
-from eitcool.atom4 import EitParams, dressed_stark_shift
-from eitcool.cooling import (MotionalMode, com_mode_for_crystal,
-                             detuning_scan, doppler_initial_state,
-                             hamiltonian_moving, power_scan,
-                             predicted_optimal_detuning, simulate_cooling)
+from eitcool import cooling, units
+from eitcool.atom4 import MINUS, PLUS, ZERO, EitParams, dressed_stark_shift
+from eitcool.cooling import (AllPointsFailedError, MotionalMode,
+                             com_mode_for_crystal, detuning_scan,
+                             doppler_initial_state, hamiltonian_moving,
+                             power_scan, predicted_optimal_detuning,
+                             simulate_cooling)
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import DensityMatrix, HilbertSpace
+from eitcool.operators import DensityMatrix, FockOperators, HilbertSpace
 
 P = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
 
@@ -87,7 +88,8 @@ class TestSimulate:
         expected = 1.0 + heating * t
         assert np.abs(res.nbar - expected).max() < 2e-3
 
-    def test_split_matches_generic_integrator(self):
+    @pytest.mark.parametrize("heating", [0.0, 1e5])
+    def test_split_matches_generic_integrator(self, heating):
         m = MotionalMode.from_lab(2.38, n_max=3)
         h = hamiltonian_moving(P, m)
         nf = m.n_max + 1
@@ -97,13 +99,17 @@ class TestSimulate:
             c = np.zeros((4 * nf, 4 * nf), dtype=complex)
             c[g * nf:(g + 1) * nf, :nf] = rate * np.eye(nf)
             cops.append(c)
+        if heating > 0:
+            fock = FockOperators(m.n_max)
+            for op in (fock.a, fock.a_dagger):
+                cops.append(np.sqrt(heating) * np.kron(np.eye(4), op))
         sys = LindbladSystem(h, cops, HilbertSpace((4 * nf,)))
         rho0 = doppler_initial_state(m, 0.5)
         t = np.array([2e-6])
         ref = evolve(sys, rho0, t, method="rk45")[-1].matrix
         n_op = np.kron(np.eye(4), np.diag(np.arange(nf)))
         nbar_ref = np.real(np.trace(n_op @ ref))
-        res = simulate_cooling(P, m, 0.5, t, dt=2e-9)
+        res = simulate_cooling(P, m, 0.5, t, heating=heating, dt=2e-9)
         assert abs(res.nbar[-1] - nbar_ref) < 1e-3
 
     def test_cooling_reduces_nbar(self):
@@ -120,6 +126,52 @@ class TestSimulate:
             simulate_cooling(P, m, -1.0, [1e-6])
         with pytest.raises(ContractViolation):
             simulate_cooling(P, m, 1.0, [1e-6], heating=-1.0)
+
+
+def _reference_step(prop, rho):
+    """The split step as first written, with its temporaries: the oracle."""
+    nf, dt = prop.nf, prop.dt
+    rho = prop.m1 @ rho @ prop.m1.conj().T
+    ee = rho[:nf, :nf]
+    w = dt * prop.gamma / 3.0
+    for g in (PLUS, ZERO, MINUS):
+        rho[g * nf:(g + 1) * nf, g * nf:(g + 1) * nf] += w * ee
+    if prop.heating > 0:
+        g = dt * prop.heating
+        r4 = rho.reshape(4, nf, 4, nf)
+        s = np.sqrt(np.arange(1, nf))
+        low = r4[:, 1:, :, 1:] * s[:, None, None] * s[None, None, :]
+        up = r4[:, :-1, :, :-1] * s[:, None, None] * s[None, None, :]
+        r4[:, :-1, :, :-1] += g * low      # a rho a^dag
+        r4[:, 1:, :, 1:] += g * up         # a^dag rho a
+    tr = np.trace(rho).real
+    rho /= tr
+    return rho, tr
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("heating", [0.0, 1e5])
+    def test_matches_reference_step(self, heating):
+        # nbar0 2 puts ~3% of the population on the top Fock level, so a
+        # heating weight leaking across a block boundary shows at once
+        m = MotionalMode.from_lab(2.38, n_max=6)
+        prop = cooling._SplitPropagator(P, m, heating, 4e-9)
+        ref = doppler_initial_state(m, 2.0)
+        rho = ref.copy()
+        worst = 0.0
+        for _ in range(200):
+            ref, tr = _reference_step(prop, ref)
+            worst = max(worst, abs(tr - 1.0))
+            assert prop.step(rho) is rho
+        assert np.abs(rho - ref).max() < 1e-13
+        assert abs(prop.max_trace_correction - worst) < 1e-13
+
+
+@pytest.fixture
+def every_run_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+    monkeypatch.setattr(cooling, "simulate_cooling", fail)
 
 
 class TestScans:
@@ -144,6 +196,39 @@ class TestScans:
                           heating=1.0e3, t_final=1e-5, n_times=3, dt=8e-9)
         assert rows[0]["gamma_cool"] == 0.0
         assert abs(rows[0]["n_ss"] - (2.0 + 1.0e3 * 1e-5)) < 1e-12
+
+    def test_detuning_scan_all_points_failed(self, every_run_fails):
+        m = MotionalMode.from_lab(2.38, n_max=4)
+        with pytest.raises(AllPointsFailedError, match="all 3 .* failed"):
+            detuning_scan(P, m, units.mhz(np.array([2.6, 3.6, 4.6])), 1e-7)
+
+    def test_power_scan_marks_all_failed_row(self, every_run_fails):
+        m = MotionalMode.from_lab(2.38, n_max=4)
+        rows = power_scan(P, m, "drive", [1.0], t_final=1e-7, n_times=3)
+        assert rows[0]["failed"]
+        assert np.isnan(rows[0]["n_ss"]) and np.isnan(rows[0]["detuning"])
+
+    def test_power_scan_row_equals_scan_then_rerun(self):
+        # the row reuses the coarse grid's argmin run; it must equal a
+        # detuning scan on that grid followed by a fresh run at its argmin
+        m = MotionalMode.from_lab(2.38, n_max=8)
+        t_final, n_times, dt, heating = 2e-6, 4, 8e-9, 670.0
+        row, = power_scan(P, m, "drive", [0.5], heating=heating,
+                          t_final=t_final, n_times=n_times, dt=dt)
+        pi = P.replace(omega_sigma_plus=P.omega_sigma_plus * np.sqrt(0.5),
+                       omega_sigma_minus=P.omega_sigma_minus * np.sqrt(0.5))
+        grid = predicted_optimal_detuning(pi, m) + np.linspace(
+            -units.mhz(0.8), units.mhz(0.8), 5)
+        _, _, best = detuning_scan(pi, m, grid, t_final, heating=heating,
+                                   dt=dt)
+        res = simulate_cooling(pi.replace(delta_d=pi.delta_p - best), m, 7.0,
+                               np.linspace(t_final / n_times, t_final,
+                                           n_times),
+                               heating=heating, dt=dt)
+        assert not row["failed"]
+        assert row["detuning"] == best
+        assert row["gamma_cool"] == res.gamma_cool
+        assert row["n_ss"] == res.n_ss
 
     def test_power_scan_bad_beam_name(self):
         m = MotionalMode.from_lab(2.38, n_max=5)
