@@ -1,21 +1,23 @@
 """Double-EIT cooling of one quantized motional mode.
 
-The simulation space is atom (4) x Fock (n_max + 1).  Trajectories use a
-split-step propagator: the exact no-jump propagator exp(-i H_eff dt) is
-precomputed once per run and alternated with a first-order quantum-jump
-update exploiting the block structure of the decay and heating channels.
-That is orders of magnitude cheaper than explicit stepping at the
-~100 MHz rotation scales of this problem and is cross-validated against
-the generic Lindblad integrator in the test suite.
+The simulation space is atom (4) x Fock (n_max + 1).  Trajectories use
+the shared split propagator and interval loop of lindblad (the exact
+no-jump propagator exp(-i H_eff dt), precomputed once per step size,
+alternated with a first-order quantum-jump update); the subclass here
+only supplies the damped H_eff and a jump update exploiting the block
+structure of the decay and heating channels.  That is orders of
+magnitude cheaper than explicit stepping at the ~100 MHz rotation scales
+of this problem and is cross-validated against the generic Lindblad
+integrator in the test suite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import units
 from .atom4 import E, MINUS, PLUS, ZERO, dressed_stark_shift, hamiltonian_rest
+from .lindblad import SplitPropagator, run_intervals
 from .numerics import (ContractViolation, DegenerateFitError,
                        fit_least_squares)
 from .operators import (FockOperators, HilbertSpace, displacement_exp,
@@ -121,8 +123,8 @@ def doppler_initial_state(m, nbar0):
     return rho
 
 
-class _SplitPropagator:
-    """Fixed-step split propagator specialized to the cooling channels.
+class _SplitPropagator(SplitPropagator):
+    """lindblad.SplitPropagator specialized to the cooling channels.
 
     Jump channels: three atomic decays (each gamma/3, e-block copied to
     the ground diagonal blocks) and the symmetric heating pair
@@ -131,14 +133,10 @@ class _SplitPropagator:
     """
 
     def __init__(self, p, m, heating, dt):
-        self.nf = m.n_max + 1
-        self.dt = dt
+        self.nf = nf = m.n_max + 1
         self.gamma = p.gamma
         self.heating = heating
-        h = hamiltonian_moving(p, m)
-        nf = self.nf
         d = 4 * nf
-        heff = h.astype(complex)
         # -i/2 sum c^dag c: atomic decay damps the e block
         damp = np.zeros(d)
         damp[:nf] = p.gamma
@@ -146,12 +144,7 @@ class _SplitPropagator:
             fock = FockOperators(m.n_max)
             anti = np.diag(fock.a_dagger @ fock.a + fock.a @ fock.a_dagger)
             damp += heating * np.tile(anti.real, 4)
-        heff -= 0.5j * np.diag(damp)
-        self.m1 = sla.expm(-1j * heff * dt)
-        self.m1d = np.ascontiguousarray(self.m1.conj().T)
-        self.nvec = np.arange(nf, dtype=float)
-        self.max_trace_correction = 0.0
-        self._prod = np.empty((d, d), dtype=complex)
+        super().__init__(hamiltonian_moving(p, m) - 0.5j * np.diag(damp), dt)
         self._decay = np.empty((nf, nf), dtype=complex)
         if heating > 0:
             # On the flattened rho a shift by d + 1 maps (r, c) to
@@ -165,16 +158,9 @@ class _SplitPropagator:
             self._lower = np.empty_like(self._heat_w)
             self._raise = np.empty_like(self._heat_w)
 
-    def step(self, rho):
-        """Advance rho by one dt, overwriting it in place; returns rho.
-
-        rho must be a C-contiguous complex (d, d) array.  The largest
-        |tr - 1| removed by the per-step renormalisation so far is kept in
-        max_trace_correction.
-        """
+    def jump(self, rho):
+        """Decay and heating jumps, in place, both from the no-jump rho."""
         nf = self.nf
-        np.matmul(self.m1, rho, out=self._prod)
-        np.matmul(self._prod, self.m1d, out=rho)
         np.multiply(rho[:nf, :nf], self.dt * self.gamma / 3.0,
                     out=self._decay)
         for g in (PLUS, ZERO, MINUS):
@@ -186,19 +172,12 @@ class _SplitPropagator:
             np.multiply(self._heat_w, flat[:-k], out=self._raise)
             flat[:-k] += self._lower           # a rho a^dag
             flat[k:] += self._raise            # a^dag rho a
-        tr = np.trace(rho).real
-        self.max_trace_correction = max(self.max_trace_correction,
-                                        abs(tr - 1.0))
-        re_im = rho.view(np.float64)   # a real divide is cheaper than complex
-        re_im /= tr
-        return rho
 
-    def phonon_stats(self, rho):
-        r4 = rho.reshape(4, self.nf, 4, self.nf)
-        pops = np.einsum('inin->n', r4).real
-        nbar = float(pops @ self.nvec)
-        top = float(pops[-2:].sum())
-        return nbar, top
+
+def _phonon_stats(rho, nf):
+    """(nbar, population of the top two Fock levels) of rho."""
+    pops = np.einsum('inin->n', rho.reshape(4, nf, 4, nf)).real
+    return float(pops @ np.arange(nf)), float(pops[-2:].sum())
 
 
 def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
@@ -206,32 +185,29 @@ def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
 
     heating is the trap heating rate in quanta/s, modeled as the
     symmetric infinite-temperature pair so dnbar/dt = +heating with the
-    beams off.  The top two Fock populations are monitored; the result is
-    flagged when they exceed 1e-3 at any sampled time.
+    beams off.  Each t_list interval is cut into whole steps of about dt
+    (lindblad.run_intervals), so every sample lies exactly on its time;
+    t_list must be non-decreasing.  The top two Fock populations are
+    monitored; the result is flagged when they exceed 1e-3 at any sampled
+    time.
     """
     if nbar0 < 0 or heating < 0:
         raise ContractViolation("nbar0 and heating must be >= 0")
     t_list = np.asarray(t_list, dtype=float)
-    prop = _SplitPropagator(p, m, heating, dt)
-    rho = doppler_initial_state(m, nbar0)
-
-    nbars = np.empty(t_list.size)
-    top_max = 0.0
-    t = 0.0
-    for i, t_next in enumerate(t_list):
-        n_steps = max(0, int(round((t_next - t) / dt)))
-        for _ in range(n_steps):
-            prop.step(rho)
-        t += n_steps * dt
-        nbars[i], top = prop.phonon_stats(rho)
-        top_max = max(top_max, top)
+    nf = m.n_max + 1
+    stats, worst = run_intervals(
+        lambda step: _SplitPropagator(p, m, heating, step),
+        doppler_initial_state(m, nbar0), t_list, dt,
+        lambda rho: _phonon_stats(rho, nf))
+    nbars, tops = np.array(stats).reshape(-1, 2).T
+    top_max = float(tops.max(initial=0.0))
 
     gamma_cool, tau_cool, n_ss, ok = _fit_exponential(t_list, nbars, nbar0)
     return CoolingResult(
         times=t_list, nbar=nbars, gamma_cool=gamma_cool, tau_cool=tau_cool,
         n_ss=n_ss, heating_rate=heating, fit_converged=ok,
         truncation_flagged=top_max > 1e-3, top_fock_population=top_max,
-        max_trace_correction=prop.max_trace_correction)
+        max_trace_correction=worst)
 
 
 def _fit_exponential(t, nbar, nbar0):

@@ -1,5 +1,6 @@
 """Shared numerical kernels: Hermitian eigensolver, real cubic roots,
-adaptive ODE integration, and damped Gauss-Newton least squares.
+adaptive ODE integration (scipy's RK45 behind the OdeSpec /
+StiffnessError contract), and damped Gauss-Newton least squares.
 
 Everything downstream (spectra, cooling, thermometry, calibration fits)
 funnels through these four entry points so the tolerance contracts live
@@ -7,7 +8,7 @@ in one place.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ContractViolation(ValueError):
@@ -132,70 +133,30 @@ def _polish_cubic_root(c3, c2, c1, c0, x):
     return x
 
 
-# Dormand-Prince 5(4) coefficients
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
 def integrate_ode(spec, y0):
     """Integrate dy/dt = rhs(y) over spec.t_list.
 
-    Embedded Dormand-Prince 5(4) pair with PI step-size control; the first
-    t_list entry is the initial time.  Returns an array of states of shape
-    (len(t_list), len(y0)).
+    scipy's adaptive RK45 (Dormand-Prince 5(4)); the first t_list entry is
+    the initial time and the other states come from its per-step
+    interpolant.  Returns an array of states of shape
+    (len(t_list), len(y0)).  Raises StiffnessError, carrying the last time
+    reached, when the step size underflows.
     """
-    y = np.asarray(y0, dtype=complex).ravel().copy()
+    # imported on first use: loading scipy.integrate at module level adds
+    # about 3 MB and 0.1 s to every import of the package
+    from scipy.integrate import solve_ivp
+
+    y = np.asarray(y0, dtype=complex).ravel()
     if not np.all(np.isfinite(y)):
         raise ContractViolation("initial state must be finite")
     t_list = spec.t_list
-    out = np.empty((len(t_list), y.size), dtype=complex)
-    out[0] = y
-    t = t_list[0]
-    span = t_list[-1] - t_list[0]
-    h = span / 100.0
-    err_prev = 1.0
-    k = [None] * 7
-    k[0] = spec.rhs(y)
-
-    for idx in range(1, len(t_list)):
-        t_end = t_list[idx]
-        while t < t_end:
-            h = min(h, t_end - t)
-            if h < 1e-14 * max(abs(t), span):
-                raise StiffnessError(
-                    f"step size underflow at t = {t:.6e}", t)
-            for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = spec.rhs(yi)
-            y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0)
-            y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0)
-            tol = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = max(np.sqrt(np.mean(np.abs((y5 - y4) / tol)**2)), 1e-10)
-            if err <= 1.0:
-                t += h
-                y = y5
-                k[0] = k[6]  # FSAL
-                # PI controller: current and previous error exponents
-                fac = 0.9 * err**-0.12 * err_prev**0.08
-                err_prev = err
-            else:
-                fac = 0.9 * err**-0.2
-                k[6] = None
-            h *= min(5.0, max(0.2, fac))
-        out[idx] = y
-    return out
+    sol = solve_ivp(lambda t, yy: spec.rhs(yy), (t_list[0], t_list[-1]), y,
+                    method="RK45", dense_output=True, rtol=spec.rel_tol,
+                    atol=spec.abs_tol)
+    if sol.status != 0:
+        t_last = float(sol.t[-1])
+        raise StiffnessError(f"{sol.message} (t = {t_last:.6e})", t_last)
+    return sol.sol(t_list).T
 
 
 def fit_least_squares(model, data, p0, max_iter=200, bounds=None):

@@ -240,6 +240,21 @@ def fit_nbar_trace(data, p, side="blue", p0=None):
                      converged=fr.converged, n_iter=fr.n_iter)
 
 
+def _model_ratio(p, t):
+    """nbar -> thermal red/blue population ratio at time t (blue pi time)."""
+    if t is None:
+        t = p.blue_pi_time()
+    tab_r = _SidebandModel(p, "red").table([t])
+    tab_b = _SidebandModel(p, "blue").table([t])
+
+    def model_ratio(nbar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return (thermal_average(tab_r, nbar)
+                    / thermal_average(tab_b, nbar))
+    return model_ratio
+
+
 def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
     """Invert the red/blue population ratio at the blue pi time to nbar.
 
@@ -255,19 +270,9 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
             "(noise floor)")
     if ratio <= 0:
         return 0.0
-    if t is None:
-        t = p.blue_pi_time()
-    tab_r = _SidebandModel(p, "red").table([t])
-    tab_b = _SidebandModel(p, "blue").table([t])
+    model_ratio = _model_ratio(p, t)
     if n_cap is None:
         n_cap = p.mode.n_max / 2.0
-
-    def model_ratio(nbar):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return (thermal_average(tab_r, nbar)
-                    / thermal_average(tab_b, nbar))
-
     lo, hi = 0.0, n_cap
     if ratio > model_ratio(hi):
         raise InversionRangeError(
@@ -288,17 +293,7 @@ def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
     Propagates the measurement errors of the two populations through the
     inverse slope of the model ratio curve at the fitted nbar.
     """
-    if t is None:
-        t = p.blue_pi_time()
-    tab_r = _SidebandModel(p, "red").table([t])
-    tab_b = _SidebandModel(p, "blue").table([t])
-
-    def model_ratio(nb):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return (thermal_average(tab_r, nb)
-                    / thermal_average(tab_b, nb))
-
+    model_ratio = _model_ratio(p, t)
     ratio = p_red / p_blue
     sigma_ratio = np.hypot(sigma_red, ratio * sigma_blue) / p_blue
     h = max(1e-4, 1e-3 * max(nbar, 1e-2))

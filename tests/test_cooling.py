@@ -10,7 +10,7 @@ from eitcool.cooling import (AllPointsFailedError, MotionalMode,
                              doppler_initial_state, hamiltonian_moving,
                              power_scan, predicted_optimal_detuning,
                              simulate_cooling)
-from eitcool.lindblad import LindbladSystem, evolve
+from eitcool.lindblad import LindbladSystem, SplitPropagator, evolve
 from eitcool.numerics import ContractViolation
 from eitcool.operators import DensityMatrix, FockOperators, HilbertSpace
 
@@ -126,6 +126,20 @@ class TestSimulate:
             simulate_cooling(P, m, -1.0, [1e-6])
         with pytest.raises(ContractViolation):
             simulate_cooling(P, m, 1.0, [1e-6], heating=-1.0)
+        with pytest.raises(ContractViolation):
+            simulate_cooling(P, m, 1.0, [2e-6, 1e-6])
+
+    def test_samples_land_on_t_list(self):
+        # 0.5 us is 62.5 steps of 8 ns: the steps are shortened to fit
+        # whole steps into each interval, so every sample sits on its time
+        # and agrees with a run whose steps divide the intervals exactly
+        m = MotionalMode.from_lab(2.38, n_max=10)
+        best = P.replace(delta_d=P.delta_p - predicted_optimal_detuning(
+            P, m))
+        t = np.array([0.5e-6, 1.0e-6, 1.5e-6, 2.0e-6])
+        rounded = simulate_cooling(best, m, 1.0, t, dt=8e-9).nbar
+        exact = simulate_cooling(best, m, 1.0, t, dt=0.5e-6 / 63).nbar
+        assert np.abs(rounded / exact - 1.0).max() < 1e-5
 
 
 def _reference_step(prop, rho):
@@ -165,6 +179,34 @@ class TestSplitStep:
             assert prop.step(rho) is rho
         assert np.abs(rho - ref).max() < 1e-13
         assert abs(prop.max_trace_correction - worst) < 1e-13
+
+    @pytest.mark.parametrize("heating, bound", [(0.0, 1e-13), (1e5, 1e-4)])
+    def test_same_mechanism_as_generic_propagator(self, heating, bound):
+        # the structured jump equals the generic sequential one; with
+        # heating only the a / a^dag order differs, O((dt Gh)^2) per step
+        m = MotionalMode.from_lab(2.38, n_max=6)
+        prop = cooling._SplitPropagator(P, m, heating, 4e-9)
+        nf = prop.nf
+        rate = np.sqrt(P.gamma / 3.0)
+        cops = []
+        for g in (PLUS, ZERO, MINUS):
+            c = np.zeros((4 * nf, 4 * nf), dtype=complex)
+            c[g * nf:(g + 1) * nf, :nf] = rate * np.eye(nf)
+            cops.append(c)
+        if heating > 0:
+            fock = FockOperators(m.n_max)
+            for op in (fock.a, fock.a_dagger):
+                cops.append(np.sqrt(heating) * np.kron(np.eye(4), op))
+        sys = LindbladSystem(hamiltonian_moving(P, m), cops,
+                             HilbertSpace((4 * nf,)))
+        generic = SplitPropagator(sys.effective_hamiltonian(), 4e-9,
+                                  sys.collapse)
+        rho = doppler_initial_state(m, 2.0)
+        ref = rho.copy()
+        for _ in range(200):
+            prop.step(rho)
+            generic.step(ref)
+        assert np.abs(rho - ref).max() < bound
 
 
 @pytest.fixture

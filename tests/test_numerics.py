@@ -1,11 +1,16 @@
 """Numerical kernel contracts: cubic roots, eigensolver, ODE, fitting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import eitcool
 from eitcool.numerics import (ContractViolation, DegenerateFitError,
-                              DegenerateOrderError, OdeSpec, eig_hermitian,
-                              fit_least_squares, integrate_ode,
+                              DegenerateOrderError, OdeSpec, StiffnessError,
+                              eig_hermitian, fit_least_squares, integrate_ode,
                               solve_cubic_real)
 
 
@@ -125,6 +130,23 @@ class TestIntegrateOde:
         spec = OdeSpec(rhs=lambda y: y, t_list=np.array([0.0, 1.0]))
         with pytest.raises(ContractViolation):
             integrate_ode(spec, np.array([np.nan]))
+
+    def test_blow_up_raises_stiffness_with_last_time(self):
+        # y' = y^2, y(0) = 1 is 1 / (1 - t): the step size underflows at 1
+        spec = OdeSpec(rhs=lambda y: y * y, t_list=[0.0, 2.0])
+        with pytest.raises(StiffnessError) as info:
+            integrate_ode(spec, [1.0])
+        assert abs(info.value.t_last - 1.0) < 1e-6
+
+    def test_package_import_leaves_scipy_integrate_unloaded(self):
+        # integrate_ode imports solve_ivp lazily to keep import eitcool light
+        src = os.path.dirname(os.path.dirname(eitcool.__file__))
+        code = ("import sys, eitcool; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestFitLeastSquares:
