@@ -1,14 +1,17 @@
 """Shared numerical kernels: Hermitian eigensolver, real cubic roots,
 adaptive ODE integration (scipy's RK45 behind the OdeSpec /
-StiffnessError contract), and damped Gauss-Newton least squares.
+StiffnessError contract), and MINPACK Levenberg-Marquardt least squares
+(scipy's least_squares behind the DegenerateFitError / sigma contract).
 
 Everything downstream (spectra, cooling, thermometry, calibration fits)
 funnels through these four entry points so the tolerance contracts live
 in one place.
 """
 
-import numpy as np
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import least_squares
 
 
 class ContractViolation(ValueError):
@@ -159,23 +162,32 @@ def integrate_ode(spec, y0):
     return sol.sol(t_list).T
 
 
-def fit_least_squares(model, data, p0, max_iter=200, bounds=None):
-    """Weighted nonlinear least squares via Levenberg-Marquardt.
+def fit_least_squares(model, data, p0):
+    """Weighted nonlinear least squares: MINPACK Levenberg-Marquardt.
 
-    model(x, params) -> y_hat; data is (x, y, sigma_y) with sigma_y > 0.
-    The Jacobian is numerical (central differences, step 1e-6 * scale).
-    1-sigma errors come from the diagonal of the inverse approximate
-    Hessian (J^T J in whitened residual coordinates).
+    model(x, params) -> y_hat; data is (x, y, sigma_y) with sigma_y > 0
+    and every input finite.  scipy's least_squares(method="lm") runs the
+    iteration on a numerical Jacobian (central differences, step
+    1e-6 * scale); every evaluation of it, including the one at the
+    returned parameters, raises DegenerateFitError when cond(J^T J)
+    exceeds 1e14 or is not finite.  1-sigma errors come from the diagonal
+    of the inverse approximate Hessian (J^T J in whitened residual
+    coordinates) at the returned parameters.  converged is MINPACK's
+    success status; n_iter counts the Jacobian evaluations of the
+    iteration.
     """
     x, y, sig = (np.asarray(v, dtype=float) for v in data)
+    p = np.asarray(p0, dtype=float)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(sig))
+            and np.all(np.isfinite(p))):
+        raise ContractViolation("y, sigma_y and p0 must be finite")
     if np.any(sig <= 0):
         raise ContractViolation("sigma_y must be positive")
-    p = np.asarray(p0, dtype=float).copy()
     if y.size < p.size:
         raise ContractViolation("need at least as many points as parameters")
 
     def residuals(pp):
-        return (y - np.asarray(model(x, pp), dtype=float)) / sig
+        return (np.asarray(model(x, pp), dtype=float) - y) / sig
 
     def jacobian(pp):
         J = np.empty((y.size, pp.size))
@@ -185,55 +197,18 @@ def fit_least_squares(model, data, p0, max_iter=200, bounds=None):
             pu[j] += step
             pd[j] -= step
             # whitened model derivative d(f/sigma)/dp_j
-            J[:, j] = (residuals(pd) - residuals(pu)) / (2.0 * step)
-        return J
-
-    r = residuals(p)
-    chi2 = float(r @ r)
-    lam = 1e-3
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        J = jacobian(p)
-        JtJ = J.T @ J
-        g = J.T @ r
-        cond = np.linalg.cond(JtJ)
+            J[:, j] = (residuals(pu) - residuals(pd)) / (2.0 * step)
+        cond = np.linalg.cond(J.T @ J)
         if not np.isfinite(cond) or cond > 1e14:
             raise DegenerateFitError(
                 f"singular Jacobian (cond ~ {cond:.3e})", cond)
-        step_ok = False
-        for _ in range(30):
-            try:
-                delta = np.linalg.solve(
-                    JtJ + lam * np.diag(np.diag(JtJ).clip(min=1e-30)), g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = p + delta
-            if bounds is not None:
-                p_try = np.clip(p_try, bounds[0], bounds[1])
-            r_try = residuals(p_try)
-            chi2_try = float(r_try @ r_try)
-            if np.isfinite(chi2_try) and chi2_try <= chi2:
-                step_ok = True
-                break
-            lam *= 10.0
-        if not step_ok:
-            break
-        rel_step = np.abs(p_try - p) / np.maximum(np.abs(p), 1.0)
-        rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-        p, r, chi2 = p_try, r_try, chi2_try
-        lam = max(lam / 10.0, 1e-12)
-        if rel_step.max() < 1e-10 or rel_drop < 1e-12:
-            converged = True
-            break
+        return J
 
-    J = jacobian(p)
-    JtJ = J.T @ J
-    try:
-        cov = np.linalg.inv(JtJ)
-        sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        sigma = np.full(p.size, np.inf)
-    return FitResult(params=p, sigma=sigma, residual_norm=float(np.sqrt(chi2)),
-                     converged=converged, n_iter=it)
+    # res.jac is jacobian(res.x): least_squares evaluates it once more at
+    # the returned parameters, so the singularity check covers them too
+    res = least_squares(residuals, p, jac=jacobian, method="lm")
+    cov = np.linalg.inv(res.jac.T @ res.jac)
+    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    return FitResult(params=res.x, sigma=sigma,
+                     residual_norm=float(np.linalg.norm(res.fun)),
+                     converged=bool(res.status > 0), n_iter=int(res.njev))

@@ -55,8 +55,10 @@ def absorption_analytic(p, grid):
 def absorption_numeric(p, grid, jobs=None):
     """Steady-state rho_ee versus swept probe detuning.
 
-    Each grid point is an independent dim-4 null-space solve; failures
-    are flagged in the result mask instead of being dropped.
+    Each grid point is an independent dim-4 null-space solve; a point
+    whose solve fails numerically (RuntimeError, e.g. a non-unique
+    steady state, or LinAlgError) is flagged in the result mask instead
+    of being dropped.  Any other exception propagates.
     """
     if p.omega_pi <= 0:
         raise ContractViolation("probe must be on (omega_pi > 0)")
@@ -78,7 +80,7 @@ def absorption_numeric(p, grid, jobs=None):
         for i, fut in enumerate(futures):
             try:
                 values[i] = fut.result()
-            except Exception:
+            except (RuntimeError, np.linalg.LinAlgError):
                 values[i] = np.nan
                 failed[i] = True
 

@@ -11,9 +11,11 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import units
-from .numerics import ContractViolation, FitResult, fit_least_squares
+from .numerics import (ContractViolation, DegenerateFitError, FitResult,
+                       fit_least_squares)
 
 GUARD_BAND = units.mhz(0.5)     # minimum distance to any denominator zero
 
@@ -143,10 +145,10 @@ def _shift_matrix(p):
 def _estimate_oscillation(t, y, env, n_best=3):
     """Candidate |shift| values for y ~ sin^2(shift t) * env.
 
-    Grid search over the resolvable band followed by golden-section
-    refinement of the n_best separated local minima; the true frequency
-    is among the candidates as long as the envelope guess is roughly
-    right.
+    Grid search over the resolvable band followed by bounded Brent
+    refinement (minimize_scalar) of the n_best separated local minima,
+    each between its neighbouring grid points; the true frequency is
+    among the candidates as long as the envelope guess is roughly right.
     """
     t = np.asarray(t, dtype=float)
     dt = np.min(np.diff(np.sort(t)))
@@ -165,24 +167,10 @@ def _estimate_oscillation(t, y, env, n_best=3):
     if idx.size == 0:
         idx = np.array([int(np.argmin(costs))])
 
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    out = []
-    for i in idx:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, grid.size - 1)]
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = cost(c), cost(d)
-        for _ in range(60):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = cost(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = cost(d)
-        out.append(0.5 * (a + b))
-    return out
+    return [minimize_scalar(cost, method="bounded",
+                            bounds=(grid[max(i - 1, 0)],
+                                    grid[min(i + 1, grid.size - 1)])).x
+            for i in idx]
 
 
 def fit_rabi_components(traces, p0, sigma=None):
@@ -193,7 +181,10 @@ def fit_rabi_components(traces, p0, sigma=None):
     p0 guess.  The oscillation frequency of each trace is estimated
     first; since each shift is linear in the squared components, a 3x3
     linear solve over the possible shift signs seeds the joint nonlinear
-    polish, which avoids period-slip local minima.  Returns a FitResult
+    polish, which avoids period-slip local minima.  The p0 components
+    are polished last, as the fallback seed; the search stops at the
+    first candidate whose residual norm is below 1e-9 of the data scale.
+    A candidate whose fit is degenerate is skipped.  Returns a FitResult
     with params in rad/s (positive by convention: the shifts depend on
     Omega^2 only) plus a wide_sigma attribute flagging weakly constrained
     components.
@@ -239,7 +230,7 @@ def fit_rabi_components(traces, p0, sigma=None):
         np.divide(base, osc, out=env, where=osc > 1e-12)
         w_est.append(_estimate_oscillation(t_all[i], y_all[i], env))
     mat = _shift_matrix(p0)
-    candidates = [np.array([p0.omega_plus, p0.omega_minus, p0.omega_pi])]
+    candidates = []
     for w0 in w_est[0]:
         for w1 in w_est[1]:
             for w2 in w_est[2]:
@@ -252,8 +243,9 @@ def fit_rabi_components(traces, p0, sigma=None):
                         continue
                     if np.all(sq > -1e-6 * max(np.abs(sq).max(), 1.0)):
                         candidates.append(np.sqrt(np.clip(sq, 0.0, None)))
+    candidates.append(np.array([p0.omega_plus, p0.omega_minus, p0.omega_pi]))
 
-    best = None
+    best = last_error = None
     seen = []
     for guess in candidates:
         if any(np.allclose(guess, s, rtol=1e-3) for s in seen):
@@ -261,14 +253,15 @@ def fit_rabi_components(traces, p0, sigma=None):
         seen.append(np.asarray(guess, dtype=float))
         try:
             fr = fit_least_squares(model, (x, y_cat, sig), guess)
-        except Exception:
+        except DegenerateFitError as exc:
+            last_error = exc
             continue
         if best is None or fr.residual_norm < best.residual_norm:
             best = fr
         if best.residual_norm < 1e-9 * max(np.abs(y_cat).max(), 1.0):
             break
     if best is None:
-        raise ContractViolation("no fit candidate converged")
+        raise ContractViolation("no fit candidate converged") from last_error
     fr = best
     params = np.abs(fr.params)
     wide = bool(np.any(fr.sigma > WIDE_SIGMA_FRACTION

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import units
 from .numerics import ContractViolation, FitResult, fit_least_squares
@@ -259,7 +260,8 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
     """Invert the red/blue population ratio at the blue pi time to nbar.
 
     The ratio of thermally averaged sideband populations at a fixed time
-    is monotone in nbar; bisection brackets it on [0, n_max / 2].
+    is monotone in nbar; Brent's method (brentq) finds it on [0, n_cap],
+    n_cap = n_max / 2 by default, to tol.
     """
     if p_blue <= 0:
         raise ContractViolation("blue-sideband population must be > 0")
@@ -273,18 +275,12 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
     model_ratio = _model_ratio(p, t)
     if n_cap is None:
         n_cap = p.mode.n_max / 2.0
-    lo, hi = 0.0, n_cap
-    if ratio > model_ratio(hi):
+    if ratio > model_ratio(n_cap):
         raise InversionRangeError(
-            f"ratio {ratio:.3f} exceeds the model at nbar = {hi:.1f}; "
+            f"ratio {ratio:.3f} exceeds the model at nbar = {n_cap:.1f}; "
             "raise n_max")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if model_ratio(mid) < ratio:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda nbar: model_ratio(nbar) - ratio, 0.0, n_cap,
+                  xtol=tol)
 
 
 def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
@@ -395,9 +391,10 @@ def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
     """Invert one ODF spectrum point to the target-mode occupation.
 
     The height-versus-nbar curve at fixed detuning is strictly
-    increasing, so bisection inverts it; other modes are held at the
-    occupations given in calibration (default 0).  mode_index defaults
-    to the highest-frequency (COM) mode.
+    increasing, so Brent's method (brentq) inverts it to tol on
+    [0, nbar_hi]; other modes are held at the occupations given in
+    calibration (default 0).  mode_index defaults to the
+    highest-frequency (COM) mode.
     """
     freqs = np.asarray(modes.frequencies, dtype=float)
     if mode_index is None:
@@ -417,14 +414,8 @@ def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
         raise InversionRangeError(
             f"height {height:.4f} outside invertible range "
             f"[{lo_val:.4f}, {hi_val:.4f}]")
-    lo, hi = 0.0, nbar_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if forward(mid) < height:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda nbar: forward(nbar) - height, 0.0, nbar_hi,
+                  xtol=tol)
 
 
 def heating_rate_fit(delays, nbars, sigmas=None):

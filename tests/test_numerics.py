@@ -179,6 +179,24 @@ class TestFitLeastSquares:
         expected = noise / np.sqrt(np.sum((t - t.mean())**2))
         assert abs(fr.sigma[1] - expected) / expected < 1e-6
 
+    def test_sigma_matches_analytic_jacobian_nonlinear(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0, 5, 60)
+        noise = 0.02
+
+        def model(x, p):
+            return p[0] * np.exp(-p[1] * x) + p[2]
+
+        y = model(t, [2.0, 0.7, 0.3]) + noise * rng.standard_normal(t.size)
+        sig = np.full_like(t, noise)
+        fr = fit_least_squares(model, (t, y, sig), [1.0, 1.0, 0.0])
+        a, b, _ = fr.params
+        e = np.exp(-b * t)
+        J = np.column_stack([e, -a * t * e, np.ones_like(t)]) / sig[:, None]
+        expected = np.sqrt(np.diag(np.linalg.inv(J.T @ J)))
+        assert fr.converged
+        assert np.abs(fr.sigma / expected - 1.0).max() < 1e-5
+
     def test_degenerate_parameters_raise(self):
         t = np.linspace(0, 1, 10)
 
@@ -186,14 +204,20 @@ class TestFitLeastSquares:
             return (p[0] + p[1]) * x   # only the sum is identifiable
 
         y = model(t, [1.0, 1.0])
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(DegenerateFitError) as info:
             fit_least_squares(model, (t, y, np.ones_like(t)), [1.0, 1.0])
+        assert info.value.condition > 1e14
 
     def test_nonpositive_sigma_rejected(self):
         t = np.linspace(0, 1, 10)
-        with pytest.raises(ContractViolation):
-            fit_least_squares(lambda x, p: p[0] * x, (t, t, np.zeros_like(t)),
-                              [1.0])
+        bad = t.copy()
+        bad[3] = np.nan
+        for y, sig, p0 in ((t, np.zeros_like(t), [1.0]),
+                           (bad, np.ones_like(t), [1.0]),
+                           (t, bad, [1.0]),
+                           (t, np.ones_like(t), [np.nan])):
+            with pytest.raises(ContractViolation):
+                fit_least_squares(lambda x, p: p[0] * x, (t, y, sig), p0)
 
     def test_more_params_than_points_rejected(self):
         with pytest.raises(ContractViolation):

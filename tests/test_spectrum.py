@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from eitcool import units
+from eitcool import spectrum
 from eitcool.atom4 import EitParams
+from eitcool.lindblad import NonUniqueSteadyStateError
 from eitcool.numerics import ContractViolation
 from eitcool.spectrum import (absorption_analytic, absorption_numeric,
                               bright_resonances, write_csv)
@@ -87,6 +89,30 @@ class TestNumeric:
         a = absorption_numeric(P, grid, jobs=1)
         b = absorption_numeric(P, grid, jobs=4)
         assert np.abs(a.values - b.values).max() < 1e-12
+
+    def test_failed_solve_is_flagged(self, monkeypatch):
+        real = spectrum.steadystate
+        bad = units.mhz(55.0)
+
+        def flaky(system):
+            if np.isclose(system.hamiltonian[2, 2].real, bad):   # delta_p
+                raise NonUniqueSteadyStateError("forced")
+            return real(system)
+
+        monkeypatch.setattr(spectrum, "steadystate", flaky)
+        grid = units.mhz(np.array([50.0, 55.0, 60.0]))
+        num = absorption_numeric(P, grid, jobs=2)
+        assert num.failed.tolist() == [False, True, False]
+        assert np.isnan(num.values[1])
+        assert np.all(np.isfinite(num.values[[0, 2]]))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(system):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(spectrum, "steadystate", broken)
+        with pytest.raises(TypeError):
+            absorption_numeric(P, units.mhz(np.array([50.0, 60.0])))
 
 
 class TestCsv:

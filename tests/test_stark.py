@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from eitcool import units
-from eitcool.numerics import ContractViolation
+from eitcool import stark, units
+from eitcool.numerics import ContractViolation, DegenerateFitError
 from eitcool.stark import (QUBITS, NearResonanceError, StarkParams,
                            b_field_alignment, clock_shift,
                            fit_rabi_components, ramsey_signal, write_json,
@@ -143,6 +143,49 @@ class TestFit:
         bad = fit_rabi_components(
             list(zip([t] * 3, [traces[1], traces[2], traces[0]])), DRIVE)
         assert bad.residual_norm > 10.0 * max(good.residual_norm, 1e-6)
+
+    def test_exact_bootstrap_candidate_ends_search(self, monkeypatch):
+        # the p0 guess is the fallback: a noiseless triple is solved from
+        # the frequency bootstrap before the slow polish from p0 runs
+        guesses = []
+        real = stark.fit_least_squares
+
+        def spy(model, data, p0):
+            guesses.append(np.array(p0))
+            return real(model, data, p0)
+
+        monkeypatch.setattr(stark, "fit_least_squares", spy)
+        t, traces = sample_traces(DRIVE)
+        guess = DRIVE.replace(omega_plus=DRIVE.omega_plus * 1.1,
+                              omega_minus=DRIVE.omega_minus * 0.9,
+                              omega_pi=DRIVE.omega_pi * 1.05)
+        fr = fit_rabi_components(list(zip([t] * 3, traces)), guess)
+        p0 = [guess.omega_plus, guess.omega_minus, guess.omega_pi]
+        assert not any(np.allclose(g, p0) for g in guesses)
+        assert fr.residual_norm < 1e-9
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(model, data, p0):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(stark, "fit_least_squares", broken)
+        t, traces = sample_traces(DRIVE)
+        with pytest.raises(TypeError):
+            fit_rabi_components(list(zip([t] * 3, traces)), DRIVE)
+
+    def test_all_degenerate_chains_last_error(self, monkeypatch):
+        raised = []
+
+        def degenerate(model, data, p0):
+            raised.append(DegenerateFitError("forced", np.inf))
+            raise raised[-1]
+
+        monkeypatch.setattr(stark, "fit_least_squares", degenerate)
+        t, traces = sample_traces(DRIVE)
+        with pytest.raises(ContractViolation) as info:
+            fit_rabi_components(list(zip([t] * 3, traces)), DRIVE)
+        assert len(raised) > 1
+        assert info.value.__cause__ is raised[-1]
 
     def test_wrong_trace_count_rejected(self):
         t = np.linspace(0.0, 1e-5, 50)
