@@ -277,6 +277,8 @@ def _run_cool(cfg, out, jobs):
         "gamma_cool_per_s": res.gamma_cool,
         "tau_cool_us": res.tau_cool * 1e6,
         "n_ss": res.n_ss,
+        "n_ss_raw": res.n_ss_raw,
+        "n_ss_clamped": res.n_ss != res.n_ss_raw,
         "fit_converged": res.fit_converged,
         "truncation_flagged": res.truncation_flagged,
         "top_fock_population": res.top_fock_population,

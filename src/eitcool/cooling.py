@@ -67,12 +67,13 @@ class CoolingResult:
     nbar: np.ndarray
     gamma_cool: float              # 1/e rate, 1/s
     tau_cool: float                # 1/e time, s
-    n_ss: float
+    n_ss: float                    # fitted limit, clamped to >= 0
     heating_rate: float            # quanta/s used in the model
     fit_converged: bool = True
     truncation_flagged: bool = False
     top_fock_population: float = 0.0
     max_trace_correction: float = 0.0   # largest |tr - 1| renormalised away
+    n_ss_raw: float = np.nan       # fitted limit before the clamp
 
 
 class AllPointsFailedError(RuntimeError):
@@ -202,16 +203,21 @@ def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
     nbars, tops = np.array(stats).reshape(-1, 2).T
     top_max = float(tops.max(initial=0.0))
 
-    gamma_cool, tau_cool, n_ss, ok = _fit_exponential(t_list, nbars, nbar0)
+    gamma_cool, tau_cool, n_ss_raw, ok = _fit_exponential(t_list, nbars,
+                                                          nbar0)
     return CoolingResult(
         times=t_list, nbar=nbars, gamma_cool=gamma_cool, tau_cool=tau_cool,
-        n_ss=n_ss, heating_rate=heating, fit_converged=ok,
+        n_ss=max(n_ss_raw, 0.0), heating_rate=heating, fit_converged=ok,
         truncation_flagged=top_max > 1e-3, top_fock_population=top_max,
-        max_trace_correction=worst)
+        max_trace_correction=worst, n_ss_raw=n_ss_raw)
 
 
 def _fit_exponential(t, nbar, nbar0):
-    """a exp(-gamma t) + c fit; returns (gamma, tau, n_ss, converged)."""
+    """a exp(-gamma t) + c fit; returns (gamma, tau, c, converged).
+
+    c is the fitted offset as it comes out of the fit, which can be
+    negative; without a converged decay it is the last nbar.
+    """
     if t.size < 3 or np.ptp(nbar) < 1e-9:
         return 0.0, np.inf, float(nbar[-1]), False
     span = max(t[-1], 1e-12)
@@ -228,7 +234,7 @@ def _fit_exponential(t, nbar, nbar0):
     a, tau, c = fr.params
     if tau <= 0 or not fr.converged:
         return 0.0, np.inf, float(nbar[-1]), False
-    return 1.0 / tau, tau, max(float(c), 0.0), True
+    return 1.0 / tau, tau, float(c), True
 
 
 def _cool_at_detunings(p, m, deltas, t_list, nbar0, heating, dt):
@@ -237,7 +243,8 @@ def _cool_at_detunings(p, m, deltas, t_list, nbar0, heating, dt):
     The probe detuning stays fixed and the drive detuning is swept,
     matching how the relative detuning is controlled in the lab.  Returns
     (runs, finals): each point's CoolingResult (None where the run
-    raised) and its final nbar (NaN where it failed).  Raises
+    raised a RuntimeError or LinAlgError) and its final nbar (NaN where
+    it failed); any other exception propagates.  Raises
     AllPointsFailedError when no point has a finite final nbar.
     """
     runs, last_exc = [], None
@@ -246,7 +253,7 @@ def _cool_at_detunings(p, m, deltas, t_list, nbar0, heating, dt):
         try:
             runs.append(simulate_cooling(pi, m, nbar0, t_list,
                                          heating=heating, dt=dt))
-        except Exception as exc:
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             runs.append(None)
             last_exc = exc
     finals = np.array([np.nan if r is None else r.nbar[-1] for r in runs])
@@ -282,7 +289,9 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
     detuning is re-optimized on a coarse grid centered on the dressed
     prediction; the row reports the fit of the grid run with the lowest
     final nbar.  Returns a list of dicts with keys power, gamma_cool,
-    n_ss, detuning, failed.
+    n_ss, detuning, failed; a row is marked failed when its point raises
+    a RuntimeError (every grid point failing included) or LinAlgError.
+    Any other exception propagates.
     """
     if which not in ("drive", "probe"):
         raise ContractViolation("which must be 'drive' or 'probe'")
@@ -317,7 +326,7 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
             res = runs[best]
             row.update(gamma_cool=res.gamma_cool, n_ss=res.n_ss,
                        detuning=float(grid[best]))
-        except Exception:
+        except (RuntimeError, np.linalg.LinAlgError):
             row["failed"] = True
         rows.append(row)
     return rows

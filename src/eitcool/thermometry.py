@@ -85,7 +85,15 @@ _SZ = np.diag([1.0, -1.0])
 
 
 class _SidebandModel:
-    """Cached eigensystem for P_up(t, n) tables of one sideband drive.
+    """Cached block eigensystems for P_up(t, n) tables of one sideband drive.
+
+    The drive conserves Q = n_phonon - n_up (blue) or n_phonon + n_up
+    (red), so the initial state |down...down> x |n> evolves inside the
+    block Q = n alone: at most 2^N states on the dense path and N + 1 on
+    the symmetric one.  The n_max + 1 blocks are cut out of the assembled
+    Hamiltonian, zero-padded to the largest size (padded states are
+    decoupled, carry no weight and are orthogonal to psi0) and
+    diagonalized in one stacked eigh, with psi0 first in each block.
 
     The Hamiltonian is linear in an overall Rabi scale, so a table at
     scaled couplings s*g equals the unit table sampled at s*t; fitters
@@ -130,13 +138,9 @@ class _SidebandModel:
             sp_j = tensor(ops).real
             h += 0.5 * g[j] * np.kron(sp_j, mode_op)
         h = h + h.T - np.diag(np.diag(h))
-        self.evals, self.evecs = np.linalg.eigh(h)
-        # fraction of up spins per basis state (bit 1 = down in our order)
-        up = np.array([(n - bin(s).count("1")) / n for s in range(2**n)])
-        self.weight = np.repeat(up, nf)
-        # initial states |down...down> x |n>: spin index 0 is all-up
-        # with our ordering (|0> = up), all-down is the last index
-        self.psi0_offset = (2**n - 1) * nf
+        # up spins per basis state (bit 1 = down in our order, |0> = up)
+        up = np.array([n - bin(s).count("1") for s in range(2**n)])
+        self._set_blocks(h, np.repeat(up, nf), np.tile(np.arange(nf), 2**n))
 
     def _build_symmetric(self, g):
         """Dicke ladder |k up-spins> x Fock, exact for uniform coupling."""
@@ -152,21 +156,36 @@ class _SidebandModel:
         mode_op = a.T if self.side == "blue" else a
         h = 0.5 * g * np.kron(jp, mode_op)
         h = h + h.T
-        self.evals, self.evecs = np.linalg.eigh(h)
-        self.weight = np.repeat(np.arange(n + 1) / n, nf)
-        self.psi0_offset = 0    # |k = 0> x |n>
+        self._set_blocks(h, np.repeat(np.arange(n + 1), nf),
+                         np.tile(np.arange(nf), n + 1))
+
+    def _set_blocks(self, h, up, fock):
+        """Stacked eigensystems of the conserved-Q blocks Q = 0..n_max.
+
+        up and fock give each basis state's up-spin count and phonon
+        number.  Ordering by (Q, up) puts the one up = 0 state of block
+        Q = n, psi0 = |down...down> x |n>, first.
+        """
+        nf = self.n_fock
+        q = fock - up if self.side == "blue" else fock + up
+        order = np.lexsort((up, q))
+        bounds = np.searchsorted(q[order], np.arange(nf + 1))
+        size = np.diff(bounds).max()
+        hb = np.zeros((nf, size, size))
+        self.weight = np.zeros((nf, size))
+        for n in range(nf):
+            idx = order[bounds[n]:bounds[n + 1]]
+            hb[n, :idx.size, :idx.size] = h[np.ix_(idx, idx)]
+            self.weight[n, :idx.size] = up[idx] / self.p.n_spins
+        self.evals, self.evecs = np.linalg.eigh(hb)
 
     def table(self, t):
         """P_up(t, n) for n = 0..n_max; shape (n_max + 1, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        v = self.evecs
-        phases = np.exp(-1j * np.outer(self.evals, t))   # (dim, nt)
-        out = np.empty((self.n_fock, t.size))
-        for n in range(self.n_fock):
-            c0 = v[self.psi0_offset + n, :].conj()       # <evecs|psi0>
-            amp = v @ (c0[:, None] * phases)             # (dim, nt)
-            out[n] = self.weight @ (np.abs(amp)**2)
-        return out
+        phases = np.exp(-1j * self.evals[:, :, None] * t)     # (nf, b, nt)
+        # <evecs|psi0> is the first row of each (real) block eigenbasis
+        amp = self.evecs @ (self.evecs[:, 0, :, None] * phases)
+        return np.einsum("nb,nbt->nt", self.weight, np.abs(amp)**2)
 
 
 def sideband_populations(p, side, t, n=None, symmetric=None):

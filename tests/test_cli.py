@@ -87,6 +87,23 @@ class TestManifest:
         assert 0.0 <= fit["top_fock_population"] <= 1.0
         assert 0.0 < fit["max_trace_correction"] < 1.0
 
+    def test_cooling_fit_reports_raw_n_ss(self, tmp_path, monkeypatch):
+        from eitcool import cooling
+        real = cooling._fit_exponential
+
+        def negative_offset(*args):
+            gamma, tau, c, ok = real(*args)
+            return gamma, tau, -0.05, ok
+        monkeypatch.setattr(cooling, "_fit_exponential", negative_offset)
+        code, _ = cli.run("fig2b", CHEAP_OVERRIDES["fig2b"]
+                          + [f"output_dir={tmp_path}"])
+        assert code == 0
+        with open(tmp_path / "cooling_fit.json") as fh:
+            fit = json.load(fh)
+        assert fit["n_ss"] == 0.0
+        assert fit["n_ss_raw"] == -0.05
+        assert fit["n_ss_clamped"] is True
+
     def test_deterministic_csv(self, tmp_path):
         blobs = []
         for run_dir in ("a", "b"):

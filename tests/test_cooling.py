@@ -216,6 +216,13 @@ def every_run_fails(monkeypatch):
     monkeypatch.setattr(cooling, "simulate_cooling", fail)
 
 
+@pytest.fixture
+def every_run_has_a_bug(monkeypatch):
+    def fail(*args, **kwargs):
+        raise TypeError("programming error")
+    monkeypatch.setattr(cooling, "simulate_cooling", fail)
+
+
 class TestScans:
     def test_predicted_optimal_detuning(self):
         m = MotionalMode.from_lab(2.38, n_max=10)
@@ -250,6 +257,18 @@ class TestScans:
         assert rows[0]["failed"]
         assert np.isnan(rows[0]["n_ss"]) and np.isnan(rows[0]["detuning"])
 
+    def test_detuning_scan_programming_error_propagates(
+            self, every_run_has_a_bug):
+        m = MotionalMode.from_lab(2.38, n_max=4)
+        with pytest.raises(TypeError, match="programming error"):
+            detuning_scan(P, m, units.mhz(np.array([2.6, 3.6])), 1e-7)
+
+    def test_power_scan_programming_error_propagates(
+            self, every_run_has_a_bug):
+        m = MotionalMode.from_lab(2.38, n_max=4)
+        with pytest.raises(TypeError, match="programming error"):
+            power_scan(P, m, "drive", [1.0], t_final=1e-7, n_times=3)
+
     def test_power_scan_row_equals_scan_then_rerun(self):
         # the row reuses the coarse grid's argmin run; it must equal a
         # detuning scan on that grid followed by a fresh run at its argmin
@@ -276,3 +295,24 @@ class TestScans:
         m = MotionalMode.from_lab(2.38, n_max=5)
         with pytest.raises(ContractViolation):
             power_scan(P, m, "repump", [1.0])
+
+
+class TestFitExponential:
+    # decay to an offset below 0, as a fit on a window that ends inside
+    # a fast transient can report
+    T = np.linspace(1e-6, 40e-6, 12)
+    NBAR = 2.0 * np.exp(-T / 5e-6) - 0.05
+
+    def test_negative_offset_returned_raw(self):
+        gamma, tau, c, ok = cooling._fit_exponential(self.T, self.NBAR, 2.0)
+        assert ok
+        assert abs(tau - 5e-6) < 1e-9 * 5e-6
+        assert abs(c + 0.05) < 1e-9
+
+    def test_result_keeps_raw_beside_clamped(self, monkeypatch):
+        fit = cooling._fit_exponential(self.T, self.NBAR, 2.0)
+        monkeypatch.setattr(cooling, "_fit_exponential", lambda *a: fit)
+        m = MotionalMode.from_lab(2.38, n_max=4)
+        res = simulate_cooling(P, m, 1.0, [1e-7, 2e-7, 3e-7], dt=1e-8)
+        assert res.n_ss == 0.0
+        assert res.n_ss_raw == fit[2] < 0.0

@@ -1,9 +1,11 @@
 """Differential Stark shifts and joint Rabi-component calibration."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from eitcool import stark, units
 from eitcool.numerics import ContractViolation, DegenerateFitError
@@ -100,6 +102,59 @@ class TestRamsey:
         shift = clock_shift(p)
         t = np.pi / (2.0 * abs(shift))
         assert abs(ramsey_signal(p, "clock", t) - 1.0) < 1e-9
+
+
+def _reference_estimate(t, y, env, n_best=3):
+    """Per-frequency grid loop over the direct cost, as the factorised
+    grid replaced; returns (grid costs, candidates)."""
+    w_max = 0.9 * np.pi / np.min(np.diff(np.sort(t)))
+    grid = np.linspace(0.0, w_max, max(8 * t.size, 512))
+
+    def cost(w):
+        return np.sum((y - np.sin(w * t)**2 * env)**2)
+
+    costs = np.array([cost(w) for w in grid])
+    interior = np.r_[False, (costs[1:-1] < costs[:-2])
+                     & (costs[1:-1] <= costs[2:]), False]
+    idx = np.nonzero(interior)[0]
+    idx = idx[np.argsort(costs[idx])][:n_best]
+    if idx.size == 0:
+        idx = np.array([int(np.argmin(costs))])
+    return costs, [minimize_scalar(cost, method="bounded",
+                                   bounds=(grid[max(i - 1, 0)],
+                                           grid[min(i + 1, grid.size - 1)])).x
+                   for i in idx]
+
+
+class TestOscillationGrid:
+    def test_factorised_grid_matches_direct_cost(self):
+        # sorted, non-uniform sample times with a decaying noisy signal
+        rng = np.random.default_rng(11)
+        n, h = 301, 200e-6 / 301
+        t = np.sort(h * (np.arange(1, n + 1) + rng.uniform(-0.3, 0.3, n)))
+        env = np.exp(-t / 150e-6)
+        y = (np.sin(2.0 * np.pi * 37e3 * t)**2 * env
+             + 0.01 * rng.normal(size=n))
+        ref_costs, ref_cands = _reference_estimate(t, y, env)
+        w_max = 0.9 * np.pi / np.min(np.diff(t))
+        costs = stark._grid_costs(t, y, env, w_max / (ref_costs.size - 1),
+                                  ref_costs.size)
+        assert np.abs(costs - ref_costs).max() < 1e-12 * ref_costs.max()
+        assert stark._estimate_oscillation(t, y, env) == ref_cands
+
+    def test_grid_memory_stays_flat(self):
+        # probe-sized trace: 1,200 samples, a 9,600-point grid; chunked it
+        # peaks near 0.95 MB, one chunk over the whole grid near 47 MB
+        t = np.linspace(0.0, 300e-6, 1200)
+        env = np.exp(-t / 200e-6)
+        y = np.sin(2.0 * np.pi * 20e3 * t)**2 * env
+        tracemalloc.start()
+        try:
+            stark._estimate_oscillation(t, y, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestFit:

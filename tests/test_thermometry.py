@@ -11,7 +11,7 @@ from eitcool.cooling import MotionalMode, com_mode_for_crystal
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import ContractViolation
 from eitcool.operators import (DensityMatrix, HilbertSpace, TruncationWarning,
-                               thermal_weights)
+                               tensor, thermal_weights)
 from eitcool.thermometry import (CapacityError, InversionRangeError,
                                  OdfParams, SidebandParams,
                                  UnphysicalRatioError,
@@ -101,6 +101,69 @@ class TestMultiSpin:
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=3)
         assert p.rabi.size == 3
         assert np.ptp(p.couplings) < 1e-12 * p.couplings[0]
+
+
+def _reference_table(p, side, t, symmetric):
+    """Full-space sideband table: one eigh of the whole Hamiltonian and
+    one (dim x dim) product per Fock state, as the block tables replaced."""
+    nf, n = p.mode.n_max + 1, p.n_spins
+    a = np.diag(np.sqrt(np.arange(1, nf)), 1)
+    mode_op = a.T if side == "blue" else a
+    g = p.couplings
+    if symmetric:
+        jp = np.zeros((n + 1, n + 1))
+        for k in range(n):
+            jp[k + 1, k] = np.sqrt((k + 1) * (n - k))
+        h = 0.5 * g[0] * np.kron(jp, mode_op)
+        h = h + h.T
+        weight = np.repeat(np.arange(n + 1) / n, nf)
+        offset = 0
+    else:
+        sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+        h = np.zeros((2**n * nf,) * 2)
+        for j in range(n):
+            ops = [np.eye(2)] * n
+            ops[j] = sp
+            h += 0.5 * g[j] * np.kron(tensor(ops).real, mode_op)
+        h = h + h.T
+        up = np.array([(n - bin(s).count("1")) / n for s in range(2**n)])
+        weight = np.repeat(up, nf)
+        offset = (2**n - 1) * nf
+    evals, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.outer(evals, t))
+    out = np.empty((nf, t.size))
+    for k in range(nf):
+        amp = v @ (v[offset + k, :].conj()[:, None] * phases)
+        out[k] = weight @ (np.abs(amp)**2)
+    return out
+
+
+def _one_ion():
+    return single_ion(n_max=30), False
+
+
+def _three_unequal():
+    mode = MotionalMode.from_lab(2.38, n_max=10,
+                                 b=np.array([0.6, 0.64, 0.48]))
+    return SidebandParams(mode=mode, rabi=units.mhz(np.array([0.5, 0.4, 0.3])),
+                          n_spins=3), False
+
+
+def _ten_symmetric():
+    mode = com_mode_for_crystal(10, 2.38, n_max=20)
+    return SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=10), True
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize("side", ["red", "blue"])
+    @pytest.mark.parametrize("case", [_one_ion, _three_unequal,
+                                      _ten_symmetric])
+    def test_matches_full_space_table(self, case, side):
+        p, symmetric = case()
+        t = np.linspace(0.0, 4.0 * p.blue_pi_time(), 30)
+        got = sideband_populations(p, side, t, symmetric=symmetric)
+        ref = _reference_table(p, side, t, symmetric)
+        assert np.abs(got - ref).max() < 1e-12
 
 
 class TestThermalAverage:
