@@ -18,11 +18,11 @@ from scipy.optimize import brentq
 
 from . import units
 from .numerics import ContractViolation, FitResult, fit_least_squares
-from .operators import (TruncationWarning, tensor, thermal_weights)
+from .operators import TruncationWarning, thermal_weights
 
 
 class CapacityError(RuntimeError):
-    """State size guard tripped; suggests the symmetric-subspace path."""
+    """Block size guard tripped; suggests the symmetric-subspace path."""
 
 
 class UnphysicalRatioError(ValueError):
@@ -33,7 +33,7 @@ class InversionRangeError(ValueError):
     """Measured height lies outside the invertible model range."""
 
 
-STATE_SIZE_LIMIT = 2**18
+BLOCK_ENTRY_LIMIT = 2**24          # stacked (n_max + 1) * C^2 floats
 DENSE_SPIN_LIMIT = 8
 
 
@@ -47,7 +47,6 @@ class SidebandParams:
     """
     mode: object                   # MotionalMode (cooling.MotionalMode)
     rabi: np.ndarray               # per-ion Omega_j, rad/s
-    mu_r: float = 0.0              # Raman detuning omega_R - omega_0, rad/s
     n_spins: int = 1
 
     def __post_init__(self):
@@ -61,9 +60,6 @@ class SidebandParams:
         if self.mode.b.size != self.n_spins:
             raise ContractViolation(
                 "mode participation vector does not match n_spins")
-        if abs(self.mu_r) > 2.0 * self.mode.nu:
-            raise ContractViolation(
-                "mu_r far outside the sideband band of this mode")
 
     @property
     def couplings(self):
@@ -79,21 +75,20 @@ class SidebandParams:
         return np.pi / g0
 
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]])   # sigma+ = |up><down|
-_SZ = np.diag([1.0, -1.0])
-
-
 class _SidebandModel:
     """Cached block eigensystems for P_up(t, n) tables of one sideband drive.
 
     The drive conserves Q = n_phonon - n_up (blue) or n_phonon + n_up
     (red), so the initial state |down...down> x |n> evolves inside the
-    block Q = n alone: at most 2^N states on the dense path and N + 1 on
-    the symmetric one.  The n_max + 1 blocks are cut out of the assembled
-    Hamiltonian, zero-padded to the largest size (padded states are
-    decoupled, carry no weight and are orthogonal to psi0) and
-    diagonalized in one stacked eigh, with psi0 first in each block.
+    block Q = n alone.  Each block is built directly over the spin
+    configurations, all-down first: the 2^N up-spin subsets on the dense
+    path, the N + 1 Dicke levels on the symmetric one.  Configuration c
+    sits at phonon number m_c = n + up_c (blue) or n - up_c (red); one
+    with m_c outside 0..n_max is a decoupled zero row of weight 0,
+    orthogonal to psi0.
+    Each spin-raising link with ladder factor f couples its two
+    configurations with f * sqrt(max(m_lo, m_hi)) / 2.  The n_max + 1
+    blocks are diagonalized in one stacked eigh, psi0 first in each.
 
     The Hamiltonian is linear in an overall Rabi scale, so a table at
     scaled couplings s*g equals the unit table sampled at s*t; fitters
@@ -103,80 +98,41 @@ class _SidebandModel:
     def __init__(self, p, side, symmetric=None):
         if side not in ("red", "blue"):
             raise ContractViolation("side must be 'red' or 'blue'")
-        self.p = p
-        self.side = side
-        self.n_fock = p.mode.n_max + 1
+        nf = p.mode.n_max + 1
         n = p.n_spins
+        g = p.couplings
         if symmetric is None:
             symmetric = n > DENSE_SPIN_LIMIT
+        if symmetric and np.ptp(g) > 1e-9 * max(np.abs(g).max(), 1e-300):
+            raise ContractViolation(
+                "symmetric-subspace path requires equal couplings "
+                "(COM mode, uniform Rabi)")
+        n_conf = n + 1 if symmetric else 2**n
+        if nf * n_conf**2 > BLOCK_ENTRY_LIMIT:
+            raise CapacityError(
+                f"{nf} blocks of {n_conf}^2 entries exceed "
+                f"{BLOCK_ENTRY_LIMIT}; use symmetric=True for the COM mode")
         if symmetric:
-            g = p.couplings
-            if np.ptp(g) > 1e-9 * max(np.abs(g).max(), 1e-300):
-                raise ContractViolation(
-                    "symmetric-subspace path requires equal couplings "
-                    "(COM mode, uniform Rabi)")
-            self._build_symmetric(g[0])
+            # Dicke levels: J+ |k> = sqrt((k + 1)(N - k)) |k + 1>
+            up = np.arange(n + 1)
+            lo = up[:-1]
+            hi = lo + 1
+            f = g[0] * np.sqrt((lo + 1) * (n - lo))
         else:
-            if (2**n) * self.n_fock > STATE_SIZE_LIMIT:
-                raise CapacityError(
-                    f"dense state size 2^{n} x {self.n_fock} exceeds "
-                    f"{STATE_SIZE_LIMIT}; use symmetric=True for the "
-                    "COM mode")
-            self._build_dense()
-        self.symmetric = symmetric
-
-    def _build_dense(self):
-        p, nf = self.p, self.n_fock
-        n = p.n_spins
-        a = np.diag(np.sqrt(np.arange(1, nf)), 1)
-        mode_op = a.T if self.side == "blue" else a     # a^dag or a
-        g = self.couplings = p.couplings
-        h = np.zeros((2**n * nf,) * 2)
-        for j in range(n):
-            ops = [np.eye(2)] * n
-            ops[j] = _SP
-            sp_j = tensor(ops).real
-            h += 0.5 * g[j] * np.kron(sp_j, mode_op)
-        h = h + h.T - np.diag(np.diag(h))
-        # up spins per basis state (bit 1 = down in our order, |0> = up)
-        up = np.array([n - bin(s).count("1") for s in range(2**n)])
-        self._set_blocks(h, np.repeat(up, nf), np.tile(np.arange(nf), 2**n))
-
-    def _build_symmetric(self, g):
-        """Dicke ladder |k up-spins> x Fock, exact for uniform coupling."""
-        p, nf = self.p, self.n_fock
-        n = p.n_spins
-        dim = (n + 1) * nf
-        if dim > STATE_SIZE_LIMIT:
-            raise CapacityError(f"symmetric state size {dim} exceeds limit")
-        jp = np.zeros((n + 1, n + 1))
-        for k in range(n):
-            jp[k + 1, k] = np.sqrt((k + 1) * (n - k))   # J+ |k> ~ |k+1>
-        a = np.diag(np.sqrt(np.arange(1, nf)), 1)
-        mode_op = a.T if self.side == "blue" else a
-        h = 0.5 * g * np.kron(jp, mode_op)
-        h = h + h.T
-        self._set_blocks(h, np.repeat(np.arange(n + 1), nf),
-                         np.tile(np.arange(nf), n + 1))
-
-    def _set_blocks(self, h, up, fock):
-        """Stacked eigensystems of the conserved-Q blocks Q = 0..n_max.
-
-        up and fock give each basis state's up-spin count and phonon
-        number.  Ordering by (Q, up) puts the one up = 0 state of block
-        Q = n, psi0 = |down...down> x |n>, first.
-        """
-        nf = self.n_fock
-        q = fock - up if self.side == "blue" else fock + up
-        order = np.lexsort((up, q))
-        bounds = np.searchsorted(q[order], np.arange(nf + 1))
-        size = np.diff(bounds).max()
-        hb = np.zeros((nf, size, size))
-        self.weight = np.zeros((nf, size))
-        for n in range(nf):
-            idx = order[bounds[n]:bounds[n + 1]]
-            hb[n, :idx.size, :idx.size] = h[np.ix_(idx, idx)]
-            self.weight[n, :idx.size] = up[idx] / self.p.n_spins
+            # bit j of configuration c set = spin j up
+            bits = (np.arange(n_conf)[:, None] >> np.arange(n)) & 1
+            up = bits.sum(axis=1)
+            lo, j = np.nonzero(bits == 0)
+            hi = lo | (1 << j)
+            f = g[j]
+        m = np.arange(nf)[:, None] + (up if side == "blue" else -up)
+        inside = (m >= 0) & (m < nf)
+        link = (0.5 * f * np.sqrt(np.maximum(m[:, lo], m[:, hi]).clip(0))
+                * (inside[:, lo] & inside[:, hi]))
+        hb = np.zeros((nf, n_conf, n_conf))
+        hb[:, lo, hi] = link
+        hb[:, hi, lo] = link
+        self.weight = np.where(inside, up / n, 0.0)
         self.evals, self.evecs = np.linalg.eigh(hb)
 
     def table(self, t):
@@ -195,12 +151,11 @@ def sideband_populations(p, side, t, n=None, symmetric=None):
     the shape of t; with n omitted, returns the full Fock-resolved table
     of shape (n_max + 1, len(t)).
     """
-    model = _SidebandModel(p, side, symmetric=symmetric)
-    tab = model.table(t)
+    if n is not None and not 0 <= n <= p.mode.n_max:
+        raise ContractViolation(f"Fock index {n} outside 0..{p.mode.n_max}")
+    tab = _SidebandModel(p, side, symmetric=symmetric).table(t)
     if n is None:
         return tab
-    if not 0 <= n <= p.mode.n_max:
-        raise ContractViolation(f"Fock index {n} outside 0..{p.mode.n_max}")
     out = tab[n]
     return out if np.ndim(t) else float(out[0])
 

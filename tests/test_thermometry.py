@@ -1,5 +1,6 @@
 """Sideband flopping, ratio/trace nbar extraction, and ODF dephasing."""
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -91,10 +92,28 @@ class TestMultiSpin:
             sideband_populations(p, "blue", [1e-6], symmetric=True)
 
     def test_dense_capacity_guard(self):
-        mode = com_mode_for_crystal(8, 2.38, n_max=2000)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=8)
-        with pytest.raises(CapacityError):
-            sideband_populations(p, "blue", [1e-6], symmetric=False)
+        # stacked blocks (n_max + 1) * 4^N exceed the entry limit; the
+        # guard must trip before any of it is allocated
+        for n_spins, n_max in ((8, 2000), (8, 1000), (17, 1)):
+            mode = com_mode_for_crystal(n_spins, 2.38, n_max=n_max)
+            p = SidebandParams(mode=mode, rabi=units.mhz(0.5),
+                               n_spins=n_spins)
+            with pytest.raises(CapacityError):
+                sideband_populations(p, "blue", [1e-6], symmetric=False)
+
+    def test_dense_build_allocates_blocks_only(self):
+        # the full space is 2^6 * 61 = 3904 states, a 122 MB Hamiltonian;
+        # the 61 stacked 64 x 64 blocks and their eigenvectors are 4 MB
+        mode = com_mode_for_crystal(6, 2.38, n_max=60)
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=6)
+        for side in ("red", "blue"):
+            tracemalloc.start()
+            try:
+                sideband_populations(p, side, [1e-6], symmetric=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
 
     def test_rabi_broadcast(self):
         mode = com_mode_for_crystal(3, 2.38, n_max=4)
