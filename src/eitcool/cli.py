@@ -296,7 +296,8 @@ def _run_scan_detuning(cfg, out, jobs):
                                    p["n_points"]))
     deltas, finals, argmin = detuning_scan(
         ep, mode, deltas, p["t_fix_us"] * 1e-6, nbar0=p["nbar0"],
-        heating=p["heating_quanta_per_ms"] * 1e3, dt=p["dt_ns"] * 1e-9)
+        heating=p["heating_quanta_per_ms"] * 1e3, dt=p["dt_ns"] * 1e-9,
+        jobs=jobs)
     path = os.path.join(out, "detuning_scan.csv")
     rows = [(float(units.to_mhz(d)), float(n),
              int(np.isfinite(n) and d == argmin))
@@ -317,7 +318,8 @@ def _run_scan_power(cfg, out, jobs):
                       [float(v) for v in p["powers"]], nbar0=p["nbar0"],
                       heating=p["heating_quanta_per_ms"] * 1e3,
                       t_final=p["t_final_us"] * 1e-6,
-                      n_times=p["n_times"], dt=p["dt_ns"] * 1e-9)
+                      n_times=p["n_times"], dt=p["dt_ns"] * 1e-9,
+                      jobs=jobs)
     path = os.path.join(out, "power_scan.csv")
     _write_csv(path,
                ["power", "gamma_cool_per_s", "n_ss", "detuning_mhz",
@@ -463,9 +465,15 @@ def resolve_config_path(path):
 
 
 def run(config_path, overrides=(), jobs=None):
-    """Execute one config; returns (exit_code, artifact_paths)."""
+    """Execute one config; returns (exit_code, artifact_paths).
+
+    jobs caps the threads of the scan kinds' independent cooling runs;
+    None means one per CPU.
+    """
     t0 = time.monotonic()
     try:
+        if jobs is not None and jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         with open(resolve_config_path(config_path)) as fh:
             raw = json.load(fh)
         raw = apply_overrides(raw, overrides)
@@ -509,9 +517,10 @@ def main(argv=None):
     p_run.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides",
                        help="override a config key")
-    p_run.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("EITCOOL_JOBS", "1")),
-                       help="worker cap for parallel sections")
+    p_run.add_argument("--jobs", type=int, default=None,
+                       help="threads for the independent cooling runs of "
+                            "scan-detuning and scan-power (default: "
+                            "$EITCOOL_JOBS, else one per CPU)")
 
     sub.add_parser("list-presets", help="names of bundled presets")
 
@@ -535,7 +544,15 @@ def main(argv=None):
             return 1
         print("ok")
         return 0
-    code, artifacts = run(args.config, args.overrides, jobs=args.jobs)
+    jobs = args.jobs
+    if jobs is None and "EITCOOL_JOBS" in os.environ:
+        try:
+            jobs = int(os.environ["EITCOOL_JOBS"])
+        except ValueError:
+            print(f"error: EITCOOL_JOBS must be an integer, got "
+                  f"{os.environ['EITCOOL_JOBS']!r}", file=sys.stderr)
+            return 1
+    code, artifacts = run(args.config, args.overrides, jobs=jobs)
     for a in artifacts:
         print(a)
     return code

@@ -11,6 +11,8 @@ of this problem and is cross-validated against the generic Lindblad
 integrator in the test suite.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,41 +239,81 @@ def _fit_exponential(t, nbar, nbar0):
     return 1.0 / tau, tau, float(c), True
 
 
-def _cool_at_detunings(p, m, deltas, t_list, nbar0, heating, dt):
-    """One simulate_cooling run per relative detuning.
+def _cpu_count():
+    """CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _cool_runs(params, m, t_list, nbar0, heating, dt, jobs):
+    """simulate_cooling at each of params on one thread pool, in order.
+
+    The runs are independent and spend their time in matrix products
+    that release the GIL, so they run concurrently on min(jobs, runs)
+    workers; jobs None means one per CPU.  Each entry of the returned
+    list is the run's CoolingResult or the RuntimeError or LinAlgError it
+    raised.  Any other exception propagates, and the runs still queued
+    are cancelled.
+    """
+    if jobs is None:
+        jobs = _cpu_count()
+    if jobs < 1:
+        raise ContractViolation(f"jobs must be >= 1, got {jobs}")
+    pool = ThreadPoolExecutor(max_workers=max(1, min(jobs, len(params))))
+    try:
+        futures = [pool.submit(simulate_cooling, pi, m, nbar0, t_list,
+                               heating=heating, dt=dt) for pi in params]
+        outcomes = []
+        for fut in futures:
+            try:
+                outcomes.append(fut.result())
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                outcomes.append(exc)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return outcomes
+
+
+def _at_detunings(p, deltas):
+    """p with the drive detuning set to each relative detuning.
 
     The probe detuning stays fixed and the drive detuning is swept,
-    matching how the relative detuning is controlled in the lab.  Returns
-    (runs, finals): each point's CoolingResult (None where the run
-    raised a RuntimeError or LinAlgError) and its final nbar (NaN where
-    it failed); any other exception propagates.  Raises
-    AllPointsFailedError when no point has a finite final nbar.
+    matching how the relative detuning is controlled in the lab.
     """
-    runs, last_exc = [], None
-    for rel in deltas:
-        pi = p.replace(delta_d=p.delta_p - rel)
-        try:
-            runs.append(simulate_cooling(pi, m, nbar0, t_list,
-                                         heating=heating, dt=dt))
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            runs.append(None)
-            last_exc = exc
-    finals = np.array([np.nan if r is None else r.nbar[-1] for r in runs])
+    return [p.replace(delta_d=p.delta_p - rel) for rel in deltas]
+
+
+def _finals(outcomes):
+    """Final nbar of each of one detuning grid's _cool_runs outcomes.
+
+    A failed point's final nbar is NaN.  Raises AllPointsFailedError,
+    chained to the last error, when no point has a finite final nbar.
+    """
+    errors = [o for o in outcomes if isinstance(o, Exception)]
+    finals = np.array([np.nan if isinstance(o, Exception) else o.nbar[-1]
+                       for o in outcomes])
     if not np.isfinite(finals).any():
+        last_exc = errors[-1] if errors else None
         raise AllPointsFailedError(
-            f"all {len(runs)} detuning points failed; last error: "
+            f"all {len(outcomes)} detuning points failed; last error: "
             f"{last_exc!r}") from last_exc
-    return runs, finals
+    return finals
 
 
-def detuning_scan(p, m, deltas, t_fix, nbar0=7.0, heating=0.0, dt=4e-9):
+def detuning_scan(p, m, deltas, t_fix, nbar0=7.0, heating=0.0, dt=4e-9,
+                  jobs=None):
     """Final nbar at t_fix versus relative detuning delta_p - delta_d.
 
-    Returns (deltas, nbar_final, argmin_delta); failed points carry NaN.
-    Raises AllPointsFailedError when every point fails.
+    Returns (deltas, nbar_final, argmin_delta); a point whose run raises
+    a RuntimeError or LinAlgError carries NaN, and any other exception
+    propagates.  Raises AllPointsFailedError when every point fails.
+    The points run on jobs threads (None: one per CPU).
     """
     deltas = np.asarray(deltas, dtype=float)
-    _, finals = _cool_at_detunings(p, m, deltas, [t_fix], nbar0, heating, dt)
+    finals = _finals(_cool_runs(_at_detunings(p, deltas), m, [t_fix],
+                                nbar0, heating, dt, jobs))
     return deltas, finals, float(deltas[np.nanargmin(finals)])
 
 
@@ -282,22 +324,23 @@ def predicted_optimal_detuning(p, m):
 
 def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
                t_final=150e-6, n_times=12, coarse_halfwidth=None,
-               n_coarse=5, dt=4e-9):
+               n_coarse=5, dt=4e-9, jobs=None):
     """Cooling rate and limit versus beam power.
 
     Rabi frequencies scale as sqrt(power).  At each point the relative
     detuning is re-optimized on a coarse grid centered on the dressed
     prediction; the row reports the fit of the grid run with the lowest
-    final nbar.  Returns a list of dicts with keys power, gamma_cool,
-    n_ss, detuning, failed; a row is marked failed when its point raises
-    a RuntimeError (every grid point failing included) or LinAlgError.
-    Any other exception propagates.
+    final nbar.  The grid runs of all powers share one task list on jobs
+    threads (None: one per CPU).  Returns a list of dicts with keys
+    power, gamma_cool, n_ss, detuning, failed; a row is marked failed
+    when its point raises a RuntimeError (every grid point failing
+    included) or LinAlgError.  Any other exception propagates.
     """
     if which not in ("drive", "probe"):
         raise ContractViolation("which must be 'drive' or 'probe'")
     if coarse_halfwidth is None:
         coarse_halfwidth = units.mhz(0.8)
-    rows = []
+    rows, grids, tasks = [], [], []
     t_list = np.linspace(t_final / n_times, t_final, n_times)
     for s in powers:
         fac = np.sqrt(s)
@@ -308,27 +351,38 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
             pi = p.replace(omega_pi=p.omega_pi * fac)
         row = {"power": float(s), "gamma_cool": 0.0, "n_ss": np.nan,
                "detuning": np.nan, "failed": False}
+        rows.append(row)
+        grid = None
         if pi.omega_pi == 0 or (pi.omega_sigma_plus == 0
                                 and pi.omega_sigma_minus == 0):
             # no cooling channel at all; rate is zero by construction
             row["n_ss"] = nbar0 + heating * t_final
-            rows.append(row)
+        else:
+            try:
+                grid = predicted_optimal_detuning(pi, m) + np.linspace(
+                    -coarse_halfwidth, coarse_halfwidth, n_coarse)
+                tasks += _at_detunings(pi, grid)
+            except (RuntimeError, np.linalg.LinAlgError):
+                row["failed"] = True
+        grids.append(grid)
+    outcomes = _cool_runs(tasks, m, t_list, nbar0, heating, dt, jobs)
+    start = 0
+    for row, grid in zip(rows, grids):
+        if grid is None:
             continue
+        own = outcomes[start:start + grid.size]
+        start += grid.size
         try:
-            center = predicted_optimal_detuning(pi, m)
-            grid = center + np.linspace(-coarse_halfwidth, coarse_halfwidth,
-                                        n_coarse)
-            # the grid runs sample the whole t_list, so the argmin's run
-            # is the row's trajectory and is not repeated
-            runs, finals = _cool_at_detunings(pi, m, grid, t_list, nbar0,
-                                              heating, dt)
-            best = int(np.nanargmin(finals))
-            res = runs[best]
-            row.update(gamma_cool=res.gamma_cool, n_ss=res.n_ss,
-                       detuning=float(grid[best]))
-        except (RuntimeError, np.linalg.LinAlgError):
+            finals = _finals(own)
+        except AllPointsFailedError:
             row["failed"] = True
-        rows.append(row)
+            continue
+        # the grid runs sample the whole t_list, so the argmin's run is
+        # the row's trajectory and is not repeated
+        best = int(np.nanargmin(finals))
+        res = own[best]
+        row.update(gamma_cool=res.gamma_cool, n_ss=res.n_ss,
+                   detuning=float(grid[best]))
     return rows
 
 

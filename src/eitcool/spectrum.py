@@ -58,7 +58,9 @@ def absorption_numeric(p, grid, jobs=None):
     Each grid point is an independent dim-4 null-space solve; a point
     whose solve fails numerically (RuntimeError, e.g. a non-unique
     steady state, or LinAlgError) is flagged in the result mask instead
-    of being dropped.  Any other exception propagates.
+    of being dropped.  Any other exception propagates.  jobs is accepted
+    and unused: the small solves hold the GIL, so the points run in one
+    loop.
     """
     if p.omega_pi <= 0:
         raise ContractViolation("probe must be on (omega_pi > 0)")
@@ -68,21 +70,14 @@ def absorption_numeric(p, grid, jobs=None):
     values = np.empty(grid.size)
     failed = np.zeros(grid.size, dtype=bool)
 
-    def solve_point(delta_p):
-        h = hamiltonian_rest(p.replace(delta_p=delta_p))
-        ss = steadystate(LindbladSystem(h, cops, space))
-        return ss.matrix[0, 0].real
-
-    from concurrent.futures import ThreadPoolExecutor
-    n_workers = max(1, int(jobs) if jobs else 1)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(solve_point, d) for d in grid]
-        for i, fut in enumerate(futures):
-            try:
-                values[i] = fut.result()
-            except (RuntimeError, np.linalg.LinAlgError):
-                values[i] = np.nan
-                failed[i] = True
+    for i, delta_p in enumerate(grid):
+        try:
+            h = hamiltonian_rest(p.replace(delta_p=delta_p))
+            ss = steadystate(LindbladSystem(h, cops, space))
+            values[i] = ss.matrix[0, 0].real
+        except (RuntimeError, np.linalg.LinAlgError):
+            values[i] = np.nan
+            failed[i] = True
 
     res = SpectrumResult(
         detunings=grid, values=values,

@@ -101,9 +101,13 @@ class _SidebandModel:
         nf = p.mode.n_max + 1
         n = p.n_spins
         g = p.couplings
+        equal = np.ptp(g) <= 1e-9 * max(np.abs(g).max(), 1e-300)
         if symmetric is None:
-            symmetric = n > DENSE_SPIN_LIMIT
-        if symmetric and np.ptp(g) > 1e-9 * max(np.abs(g).max(), 1e-300):
+            # dense up to DENSE_SPIN_LIMIT spins unless its blocks would
+            # trip the size guard where the Dicke path can take over
+            symmetric = n > DENSE_SPIN_LIMIT or (
+                equal and nf * 4**n > BLOCK_ENTRY_LIMIT)
+        if symmetric and not equal:
             raise ContractViolation(
                 "symmetric-subspace path requires equal couplings "
                 "(COM mode, uniform Rabi)")
@@ -149,7 +153,9 @@ def sideband_populations(p, side, t, n=None, symmetric=None):
 
     Initial state |down...down> x |n>.  With n given, returns P_up with
     the shape of t; with n omitted, returns the full Fock-resolved table
-    of shape (n_max + 1, len(t)).
+    of shape (n_max + 1, len(t)).  symmetric None takes the dense path
+    up to DENSE_SPIN_LIMIT spins and the Dicke path beyond it, or where
+    equal couplings' dense blocks would exceed BLOCK_ENTRY_LIMIT.
     """
     if n is not None and not 0 <= n <= p.mode.n_max:
         raise ContractViolation(f"Fock index {n} outside 0..{p.mode.n_max}")

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from eitcool import cli
@@ -194,6 +195,41 @@ class TestOverrides:
     def test_bad_pair_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.apply_overrides({}, ["numeric"])
+
+
+class TestJobs:
+    def test_malformed_env_fails_run_only(self, monkeypatch, capsys):
+        monkeypatch.setenv("EITCOOL_JOBS", "abc")
+        assert cli.main(["list-presets"]) == 0
+        assert cli.main(["run", "fig2e"]) == 1
+        assert "error: EITCOOL_JOBS" in capsys.readouterr().err
+
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
+        code, artifacts = cli.run(
+            "fig2e", CHEAP_OVERRIDES["fig2e"] + [f"output_dir={tmp_path}"],
+            jobs=0)
+        assert code == 1 and artifacts == []
+        assert "error: jobs" in capsys.readouterr().err
+        assert cli.main(["run", "fig2e", "--jobs", "0"]) == 1
+
+    def test_scan_kinds_pass_jobs_through(self, tmp_path, monkeypatch):
+        seen = []
+
+        def detuning(p, m, deltas, *args, jobs=None, **kwargs):
+            seen.append(jobs)
+            return deltas, np.ones(len(deltas)), deltas[0]
+
+        def power(*args, jobs=None, **kwargs):
+            seen.append(jobs)
+            return []
+
+        monkeypatch.setattr(cli, "detuning_scan", detuning)
+        monkeypatch.setattr(cli, "power_scan", power)
+        for name in ("fig2e", "fig3a"):
+            code, _ = cli.run(name, [f"output_dir={tmp_path / name}"],
+                              jobs=3)
+            assert code == 0
+        assert seen == [3, 3]
 
 
 class TestFailurePaths:

@@ -1,5 +1,8 @@
 """Quantized-mode cooling dynamics and scan drivers."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -295,6 +298,79 @@ class TestScans:
         m = MotionalMode.from_lab(2.38, n_max=5)
         with pytest.raises(ContractViolation):
             power_scan(P, m, "repump", [1.0])
+
+
+class TestScanWorkers:
+    M = MotionalMode.from_lab(2.38, n_max=8)
+    GRID = units.mhz(np.array([2.6, 3.1, 3.6, 4.1, 4.6]))
+
+    def scan(self, jobs):
+        return detuning_scan(P, self.M, self.GRID, 2e-6, nbar0=1.0,
+                             dt=8e-9, jobs=jobs)
+
+    def test_detuning_scan_same_for_any_worker_count(self):
+        one, two = self.scan(1), self.scan(2)
+        assert np.array_equal(one[1], two[1]) and one[2] == two[2]
+
+    def test_power_scan_same_for_any_worker_count(self):
+        def scan(jobs):
+            return power_scan(P, self.M, "probe", [0.0, 0.5, 1.0],
+                              nbar0=1.0, heating=670.0, t_final=2e-6,
+                              n_times=4, dt=8e-9, jobs=jobs)
+        one, two = scan(1), scan(2)
+        np.testing.assert_equal(one, two)
+        assert not any(r["failed"] for r in one)
+        assert one[0]["gamma_cool"] == 0.0
+
+    def test_failed_point_marks_only_its_index(self, monkeypatch):
+        _, ref, argmin = self.scan(1)
+        real, bad = cooling.simulate_cooling, P.delta_p - self.GRID[1]
+
+        def flaky(p, *args, **kwargs):
+            if p.delta_d == bad:
+                raise np.linalg.LinAlgError("forced")
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(cooling, "simulate_cooling", flaky)
+        _, finals, got = self.scan(2)
+        assert np.isnan(finals).tolist() == [False, True, False, False,
+                                              False]
+        assert np.array_equal(np.delete(finals, 1), np.delete(ref, 1))
+        assert got == argmin
+
+    def test_failed_power_marks_only_its_row(self, monkeypatch):
+        kw = dict(nbar0=1.0, t_final=2e-6, n_times=4, dt=8e-9)
+        good, = power_scan(P, self.M, "probe", [0.5], jobs=1, **kw)
+        real, bad = cooling.simulate_cooling, P.omega_pi
+
+        def flaky(p, *args, **kwargs):
+            if p.omega_pi == bad:
+                raise np.linalg.LinAlgError("forced")
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(cooling, "simulate_cooling", flaky)
+        rows = power_scan(P, self.M, "probe", [0.5, 1.0], jobs=2, **kw)
+        assert rows[0] == good
+        assert rows[1]["failed"] and np.isnan(rows[1]["n_ss"])
+
+    def test_programming_error_cancels_queued_points(self, monkeypatch):
+        calls, lock = [], threading.Lock()
+
+        def slow_bug(*args, **kwargs):
+            with lock:
+                calls.append(1)
+            time.sleep(0.05)
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(cooling, "simulate_cooling", slow_bug)
+        grid = units.mhz(np.linspace(2.0, 5.0, 12))
+        with pytest.raises(TypeError, match="programming error"):
+            detuning_scan(P, self.M, grid, 1e-7, jobs=2)
+        assert len(calls) < grid.size
+
+    def test_nonpositive_jobs_rejected(self):
+        with pytest.raises(ContractViolation):
+            self.scan(0)
 
 
 class TestFitExponential:

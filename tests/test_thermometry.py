@@ -101,6 +101,19 @@ class TestMultiSpin:
             with pytest.raises(CapacityError):
                 sideband_populations(p, "blue", [1e-6], symmetric=False)
 
+    def test_default_takes_dicke_path_past_dense_limit(self):
+        # 8 uniform spins: dense blocks are 301 x 256^2 entries, over the
+        # limit, so the default builds 301 Dicke blocks of 9^2 instead
+        mode = com_mode_for_crystal(8, 2.38, n_max=300)
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=8)
+        t = np.linspace(0.0, 2.0 * p.blue_pi_time(), 7)
+        with pytest.raises(CapacityError):
+            sideband_populations(p, "blue", t, symmetric=False)
+        for side in ("red", "blue"):
+            assert np.array_equal(
+                sideband_populations(p, side, t),
+                sideband_populations(p, side, t, symmetric=True))
+
     def test_dense_build_allocates_blocks_only(self):
         # the full space is 2^6 * 61 = 3904 states, a 122 MB Hamiltonian;
         # the 61 stacked 64 x 64 blocks and their eigenvectors are 4 MB
