@@ -8,7 +8,7 @@ consistent with the bundled spectrum presets (see README, "Detuning
 label convention").
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,11 +60,7 @@ class EitParams:
                       delta_d, delta_p, delta_B, gamma)))
 
     def replace(self, **kw):
-        d = {f: getattr(self, f) for f in (
-            "omega_sigma_plus", "omega_sigma_minus", "omega_pi",
-            "delta_d", "delta_p", "delta_B", "gamma")}
-        d.update(kw)
-        return EitParams(**d)
+        return replace(self, **kw)
 
 
 def hamiltonian_rest(p):

@@ -214,26 +214,30 @@ def apply_overrides(raw, pairs):
     return raw
 
 
-def _atomic_write(path, writer):
+def _atomic_write(path, write):
+    """write(tmp) fills a temp file, renamed onto path once complete."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer(fh)
+    write(tmp)
     os.replace(tmp, path)
 
 
 def _write_csv(path, header, rows):
-    def w(fh):
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                         else v for v in row])
+    def w(tmp):
+        with open(tmp, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(header)
+            for row in rows:
+                wr.writerow([repr(float(v))
+                             if isinstance(v, (float, np.floating))
+                             else v for v in row])
     _atomic_write(path, w)
 
 
 def _write_json(path, obj):
-    _atomic_write(path, lambda fh: json.dump(obj, fh, indent=2,
-                                             sort_keys=True))
+    def w(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+    _atomic_write(path, w)
 
 
 def _eit_params(p):
@@ -252,9 +256,7 @@ def _run_spectrum(cfg, out, jobs):
     num = spectrum_mod.absorption_numeric(ep, grid, jobs=jobs) \
         if p["numeric"] else None
     path = os.path.join(out, "spectrum.csv")
-    tmp = path + ".tmp"
-    spectrum_mod.write_csv(tmp, ana, num)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: spectrum_mod.write_csv(tmp, ana, num))
     return [path]
 
 
@@ -339,9 +341,7 @@ def _run_modes(cfg, out, jobs):
     pos = equilibrium_positions(c)
     modes = transverse_modes(c, pos)
     path = os.path.join(out, "modes.json")
-    tmp = path + ".tmp"
-    crystal_mod.write_json(tmp, c, modes)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: crystal_mod.write_json(tmp, c, modes))
     return [path]
 
 
@@ -418,9 +418,7 @@ def _run_stark(cfg, out, jobs):
         fr = stark_mod.fit_rabi_components(
             [(t, y) for y in traces], guess)
         fpath = os.path.join(out, "stark_fit.json")
-        tmp = fpath + ".tmp"
-        stark_mod.write_json(tmp, fr, sp)
-        os.replace(tmp, fpath)
+        _atomic_write(fpath, lambda tmp: stark_mod.write_json(tmp, fr, sp))
         artifacts.append(fpath)
     return artifacts
 

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, root
 
 from . import units
 from .numerics import ContractViolation, eig_hermitian
@@ -120,9 +120,10 @@ def _hex_seed(n, rng):
 def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
     """Equilibrium (x, z) positions in meters, center of charge at origin.
 
-    BFGS descent from a perturbed hexagonal patch plus random restarts,
-    then Newton polish; the lowest-energy stationary point with gradient
-    max-norm below grad_tol (dimensionless) wins.
+    Trust-region Newton-CG descent (exact in-plane Hessian) from
+    perturbed hexagonal patches, one per restart, each polished by a
+    root solve of the gradient; the lowest-energy stationary point with
+    gradient max-norm below grad_tol (dimensionless) wins.
     """
     n = c.n_ions
     if n == 1:
@@ -132,27 +133,17 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
     best = None
     best_v = np.inf
     for _ in range(n_restarts):
-        u0 = _hex_seed(n, rng)
-        res = minimize(_potential_and_grad, u0, args=(alpha,), jac=True,
-                       method="BFGS",
-                       options={"maxiter": 2000, "gtol": 1e-8})
-        u = res.x
-        # Newton polish to machine-level gradient
-        for _ in range(50):
-            v, g = _potential_and_grad(u, alpha)
-            if np.abs(g).max() < grad_tol:
-                break
-            h = _hessian_inplane(u, alpha)
-            try:
-                step = np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:
-                break
-            if np.abs(step).max() > 1.0:
-                step *= 1.0 / np.abs(step).max()
-            u = u - step
+        u = minimize(_potential_and_grad, _hex_seed(n, rng), args=(alpha,),
+                     jac=True, hess=_hessian_inplane, method="trust-ncg",
+                     options={"gtol": grad_tol, "maxiter": 2000}).x
+        # the trust region compares energies, whose round-off stops most
+        # restarts near |grad| ~ 1e-8; a root finder on the gradient
+        # (MINPACK hybrj) does not use them
+        u = root(lambda w: _potential_and_grad(w, alpha)[1], u,
+                 jac=lambda w: _hessian_inplane(w, alpha)).x
         v, g = _potential_and_grad(u, alpha)
         if np.abs(g).max() < grad_tol and v < best_v - 1e-12:
-            best_v, best = v, u.copy()
+            best_v, best = v, u
     if best is None:
         raise StructureSearchError(
             f"no equilibrium with |grad| < {grad_tol} in "
@@ -199,11 +190,12 @@ def transverse_modes(c, positions):
             f"planar crystal unstable: mode 0 has omega^2 = {w2[0]:.3e}",
             0)
     b = np.real(b)
-    # fix sign convention: largest-magnitude component positive
-    for m in range(n):
-        j = np.argmax(np.abs(b[:, m]))
-        if b[j, m] < 0:
-            b[:, m] = -b[:, m]
+    # sign convention: the first ion whose |b| is within 1e-9 relative of
+    # the column maximum is positive; symmetric crystals have near-tied
+    # maxima, and a plain argmax would pick between them by rounding
+    mag = np.abs(b)
+    first = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
+    b *= np.sign(b[first, np.arange(n)])
     return ModeDecomposition(frequencies=np.sqrt(w2), b_matrix=b,
                              positions=pos,
                              hessian_trace=float(np.trace(K).real))

@@ -8,6 +8,7 @@ absorbed into the fitted Rabi scale.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,32 +68,60 @@ def _guard(p, extra=()):
                 f"inside the {units.to_mhz(GUARD_BAND):.2f} MHz guard band")
 
 
+def _coefficients(p, qubit):
+    """(shift_row, decay_row) of one qubit in x = (Om+^2, Om-^2, Ompi^2).
+
+    The qubit's differential shift is shift_row @ x in rad/s and its
+    Ramsey envelope exp(-(decay_row @ x) t); the denominators of this
+    qubit are guarded first.
+    """
+    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
+    if qubit == "clock":
+        _guard(p)
+        far = 1.0 / (dp + ds - d)
+        sigma = far - 1.0 / (dp - d)
+        sigma_decay = p.gamma_clock / (dp - d)**2
+        return (np.array([sigma, sigma, 1.0 / d + far]),
+                np.array([sigma_decay, sigma_decay, p.gamma_clock / d**2]))
+    if qubit not in ("zeeman+", "zeeman-"):
+        raise ContractViolation(f"unknown qubit {qubit!r}")
+    sign = +1 if qubit == "zeeman+" else -1
+    _guard(p, {
+        f"delta {'+' if sign > 0 else '-'} delta_b": d + sign * db,
+        f"delta_p - delta {'-' if sign > 0 else '+'} delta_b":
+            dp - d - sign * db,
+    })
+    far = 1.0 / (dp + ds - d)
+    near = 1.0 / (d + sign * db) - 1.0 / (dp - d - sign * db) + far
+    near_decay = p.gamma_zeeman / (d + sign * db)**2
+    # the near-detuned component is Om- for zeeman+ and Om+ for zeeman-
+    shift = [far, near] if sign > 0 else [near, far]
+    decay = [0.0, near_decay] if sign > 0 else [near_decay, 0.0]
+    return (np.array(shift + [far - 1.0 / (dp - d)]),
+            np.array(decay + [p.gamma_zeeman / (dp - d)**2]))
+
+
+def _squares(p):
+    return np.array([p.omega_plus, p.omega_minus, p.omega_pi])**2
+
+
+def _rates(p, qubit):
+    """(shift, envelope rate) of one qubit: its two rows times x, each
+    rounded once (math.fsum), independent of BLAS summation order."""
+    x = _squares(p)
+    return tuple(math.fsum(row * x) for row in _coefficients(p, qubit))
+
+
 def clock_shift(p):
     """Differential shift of the clock qubit, rad/s."""
-    _guard(p)
-    d, dp, ds = p.delta, p.delta_p, p.delta_s
-    return (p.omega_pi**2 * (1.0 / d + 1.0 / (dp + ds - d))
-            + (p.omega_minus**2 + p.omega_plus**2)
-            * (1.0 / (dp + ds - d) - 1.0 / (dp - d)))
+    return _rates(p, "clock")[0]
 
 
 def zeeman_shift(p, sign):
     """Differential shift of the m = +1 or m = -1 Zeeman qubit, rad/s."""
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
-    _guard(p, {
-        f"delta {'+' if sign > 0 else '-'} delta_b": d + sign * db,
-        f"delta_p - delta {'-' if sign > 0 else '+'} delta_b":
-            dp - d - sign * db,
-    })
-    om_near = p.omega_minus if sign > 0 else p.omega_plus    # Omega_-/+
-    om_far = p.omega_plus if sign > 0 else p.omega_minus
-    return (om_near**2 * (1.0 / (d + sign * db)
-                          - 1.0 / (dp - d - sign * db)
-                          + 1.0 / (dp + ds - d))
-            + p.omega_pi**2 * (-1.0 / (dp - d) + 1.0 / (dp + ds - d))
-            + om_far**2 / (dp + ds - d))
+    return _rates(p, "zeeman+" if sign > 0 else "zeeman-")[0]
 
 
 def ramsey_signal(p, qubit, t):
@@ -100,46 +129,13 @@ def ramsey_signal(p, qubit, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ContractViolation("t must be >= 0")
-    d, dp = p.delta, p.delta_p
-    if qubit == "clock":
-        shift = clock_shift(p)
-        env = (np.exp(-p.gamma_clock * p.omega_pi**2 * t / d**2)
-               * np.exp(-p.gamma_clock
-                        * (p.omega_minus**2 + p.omega_plus**2) * t
-                        / (dp - d)**2))
-    elif qubit in ("zeeman+", "zeeman-"):
-        sign = +1 if qubit == "zeeman+" else -1
-        shift = zeeman_shift(p, sign)
-        om_near = p.omega_minus if sign > 0 else p.omega_plus
-        env = (np.exp(-p.gamma_zeeman * om_near**2 * t
-                      / (d + sign * p.delta_b)**2)
-               * np.exp(-p.gamma_zeeman * p.omega_pi**2 * t / (dp - d)**2))
-    else:
-        raise ContractViolation(f"unknown qubit {qubit!r}")
-    return np.sin(shift * t)**2 * env
+    shift, rate = _rates(p, qubit)
+    return np.sin(shift * t)**2 * np.exp(-rate * t)
 
 
 # a fit is flagged non-identifiable when a component's 1-sigma error
 # exceeds this fraction of its value
 WIDE_SIGMA_FRACTION = 0.5
-
-
-def _shift_matrix(p):
-    """Coefficients of the three shifts in x = (Om+^2, Om-^2, Ompi^2)."""
-    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
-    far = 1.0 / (dp + ds - d)
-    sigma_clock = far - 1.0 / (dp - d)
-    pi_clock = 1.0 / d + far
-    pi_zeeman = -1.0 / (dp - d) + far
-
-    def near(sign):
-        return (1.0 / (d + sign * db) - 1.0 / (dp - d - sign * db) + far)
-
-    return np.array([
-        [sigma_clock, sigma_clock, pi_clock],        # clock
-        [far, near(+1), pi_zeeman],                  # zeeman+ (near: Om-)
-        [near(-1), far, pi_zeeman],                  # zeeman- (near: Om+)
-    ])
 
 
 # grid frequencies per block (B) and blocks per chunk (rows) of the
@@ -258,26 +254,17 @@ def fit_rabi_components(traces, p0, sigma=None):
     sig = np.ones_like(y_cat) if sigma is None else np.concatenate(
         [np.asarray(s, dtype=float) for s in sigma])
 
+    # detuning-only rows, fixed by p0; the fit varies only x
+    mat, decay = map(np.array, zip(*(_coefficients(p0, q) for q in QUBITS)))
+
     def model(_x, pr):
-        pp = p0.replace(omega_plus=abs(pr[0]), omega_minus=abs(pr[1]),
-                        omega_pi=abs(pr[2]))
-        out = np.empty_like(y_cat)
-        for i, q in enumerate(QUBITS):
-            sel = tag_cat == i
-            out[sel] = ramsey_signal(pp, q, t_cat[sel])
-        return out
+        sq = pr * pr
+        return (np.sin((mat @ sq)[tag_cat] * t_cat)**2
+                * np.exp(-(decay @ sq)[tag_cat] * t_cat))
 
     # frequency bootstrap: |shift| per trace with envelopes from p0
-    w_est = []
-    for i, q in enumerate(QUBITS):
-        env = np.ones_like(y_all[i])
-        base = ramsey_signal(p0, q, t_all[i])
-        osc = np.sin((clock_shift(p0) if q == "clock"
-                      else zeeman_shift(p0, +1 if q == "zeeman+" else -1))
-                     * t_all[i])**2
-        np.divide(base, osc, out=env, where=osc > 1e-12)
-        w_est.append(_estimate_oscillation(t_all[i], y_all[i], env))
-    mat = _shift_matrix(p0)
+    w_est = [_estimate_oscillation(t, y, np.exp(-_rates(p0, q)[1] * t))
+             for q, t, y in zip(QUBITS, t_all, y_all)]
     candidates = []
     for w0 in w_est[0]:
         for w1 in w_est[1]:

@@ -41,6 +41,12 @@ class TestParams:
         assert q.omega_pi == REF.omega_pi
         assert abs(units.to_mhz(q.delta_p) - 61.0) < 1e-12
 
+    def test_replace_validates(self):
+        with pytest.raises(ContractViolation):
+            REF.replace(gamma=0.0)
+        with pytest.raises(TypeError):
+            REF.replace(delta_x=1.0)
+
 
 class TestHamiltonians:
     def test_rest_hermitian(self):

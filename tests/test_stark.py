@@ -67,6 +67,13 @@ class TestShifts:
         with pytest.raises(NearResonanceError):
             clock_shift(DRIVE.replace(delta=units.mhz(0.1)))
 
+    def test_exact_zero_denominator_is_guarded(self):
+        # the guard runs before any division by the denominator
+        p = DRIVE.replace(delta=DRIVE.delta_p + DRIVE.delta_s)
+        for q in QUBITS:
+            with pytest.raises(NearResonanceError):
+                ramsey_signal(p, q, [1e-6])
+
     def test_guard_band_zeeman_denominator(self):
         p = DRIVE.replace(delta=units.mhz(4.5), delta_b=units.mhz(4.6))
         with pytest.raises(NearResonanceError):
@@ -75,6 +82,71 @@ class TestShifts:
     def test_bad_sign_rejected(self):
         with pytest.raises(ContractViolation):
             zeeman_shift(DRIVE, 0)
+
+    def test_guard_band_is_per_qubit(self):
+        # delta - delta_b is near zero: only the m = -1 Zeeman qubit has
+        # that denominator
+        p = DRIVE.replace(delta=units.mhz(4.5), delta_b=units.mhz(4.6))
+        assert np.isfinite(clock_shift(p))
+        assert np.isfinite(zeeman_shift(p, +1))
+        assert np.all(np.isfinite(ramsey_signal(p, "clock", [1e-6])))
+        with pytest.raises(NearResonanceError):
+            ramsey_signal(p, "zeeman-", [1e-6])
+
+
+def _explicit_shift(p, qubit):
+    """Each qubit's differential shift written out term by term."""
+    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
+    if qubit == "clock":
+        return (p.omega_pi**2 * (1.0 / d + 1.0 / (dp + ds - d))
+                + (p.omega_minus**2 + p.omega_plus**2)
+                * (1.0 / (dp + ds - d) - 1.0 / (dp - d)))
+    sign = +1 if qubit == "zeeman+" else -1
+    om_near = p.omega_minus if sign > 0 else p.omega_plus
+    om_far = p.omega_plus if sign > 0 else p.omega_minus
+    return (om_near**2 * (1.0 / (d + sign * db)
+                          - 1.0 / (dp - d - sign * db)
+                          + 1.0 / (dp + ds - d))
+            + p.omega_pi**2 * (-1.0 / (dp - d) + 1.0 / (dp + ds - d))
+            + om_far**2 / (dp + ds - d))
+
+
+def _explicit_ramsey(p, qubit, t):
+    """sin^2(shift t) times each qubit's decay envelopes, written out."""
+    d, dp = p.delta, p.delta_p
+    if qubit == "clock":
+        env = (np.exp(-p.gamma_clock * p.omega_pi**2 * t / d**2)
+               * np.exp(-p.gamma_clock
+                        * (p.omega_minus**2 + p.omega_plus**2) * t
+                        / (dp - d)**2))
+    else:
+        sign = +1 if qubit == "zeeman+" else -1
+        om_near = p.omega_minus if sign > 0 else p.omega_plus
+        env = (np.exp(-p.gamma_zeeman * om_near**2 * t
+                      / (d + sign * p.delta_b)**2)
+               * np.exp(-p.gamma_zeeman * p.omega_pi**2 * t / (dp - d)**2))
+    return np.sin(_explicit_shift(p, qubit) * t)**2 * env
+
+
+class TestCoefficientTable:
+    def test_matches_explicit_formulas(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            p = StarkParams.from_mhz(
+                rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0),
+                rng.uniform(1.0, 20.0), rng.uniform(40.0, 70.0),
+                delta_b=rng.uniform(1.0, 8.0),
+                gamma_clock=rng.uniform(1e3, 5e3),
+                gamma_zeeman=rng.uniform(1e3, 5e3))
+            got = {"clock": clock_shift(p), "zeeman+": zeeman_shift(p, +1),
+                   "zeeman-": zeeman_shift(p, -1)}
+            for q in QUBITS:
+                ref = _explicit_shift(p, q)
+                assert abs(got[q] - ref) <= 1e-12 * abs(ref)
+                t = np.linspace(0.0, 20.0 * np.pi / abs(ref), 400)
+                ref_trace = _explicit_ramsey(p, q, t)
+                assert np.abs(ramsey_signal(p, q, t) - ref_trace).max() \
+                    <= 1e-12 * np.abs(ref_trace).max()
 
 
 class TestRamsey:
