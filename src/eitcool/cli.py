@@ -257,7 +257,13 @@ def _run_spectrum(cfg, out, jobs):
         if p["numeric"] else None
     path = os.path.join(out, "spectrum.csv")
     _atomic_write(path, lambda tmp: spectrum_mod.write_csv(tmp, ana, num))
-    return [path]
+    if num is None or not num.failure_reasons:
+        return [path]
+    fpath = os.path.join(out, "failures.json")
+    _write_json(fpath, [
+        {"index": i, "delta_pi_MHz": float(units.to_mhz(grid[i])),
+         "error": reason} for i, reason in num.failure_reasons.items()])
+    return [path, fpath]
 
 
 def _run_cool(cfg, out, jobs):

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .atom4 import E, MINUS, PLUS, ZERO, dressed_stark_shift, hamiltonian_rest
+from .atom4 import E, MINUS, PLUS, ZERO, dressed_stark_shift
 from .lindblad import SplitPropagator, run_intervals
 from .numerics import (ContractViolation, DegenerateFitError,
                        fit_least_squares)
-from .operators import (FockOperators, HilbertSpace, displacement_exp,
-                        default_n_max, thermal_weights)
+from .operators import (FockOperators, default_n_max, displacement_exp,
+                        thermal_weights)
 
 
 @dataclass

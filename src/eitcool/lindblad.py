@@ -47,40 +47,38 @@ class LindbladSystem:
         scale = max(np.abs(h).max(), 1.0)
         if np.abs(h - h.conj().T).max() > 1e-10 * scale:
             raise ContractViolation("hamiltonian is not Hermitian")
+        self._heff = h.copy()
+        for c in self.collapse:
+            self._heff -= 0.5j * (c.conj().T @ c)
 
     def rhs_matrix(self, rho):
-        """Lindblad generator applied to a (d, d) matrix."""
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
+        """-i (H_eff rho - rho H_eff^dag) + sum c rho c^dag, (d, d) rho."""
+        heff = self._heff
+        out = -1j * (heff @ rho - rho @ heff.conj().T)
         for c in self.collapse:
-            cd = c.conj().T
-            cdc = cd @ c
-            out += c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
+            out += c @ rho @ c.conj().T
         return out
 
     def effective_hamiltonian(self):
-        """H - (i/2) sum c^dag c, the no-jump generator."""
-        heff = self.hamiltonian.astype(complex).copy()
-        for c in self.collapse:
-            heff -= 0.5j * (c.conj().T @ c)
-        return heff
+        """H - (i/2) sum c^dag c, the no-jump generator (a copy)."""
+        return self._heff.copy()
 
     def liouvillian_matrix(self):
-        """Dense superoperator on vec(rho), row-major convention."""
+        """Dense superoperator on vec(rho), row-major convention:
+        L = -i H_eff (x) 1 + i 1 (x) H_eff^* + sum c (x) c^*, each A (x) B
+        the broadcast A[i, k] B[j, l] at (i d + j, k d + l)."""
         d = self.space.dim
         if d > NULL_SPACE_DIM_LIMIT:
             raise ContractViolation(
                 f"dense Liouvillian refused for dim {d} > "
                 f"{NULL_SPACE_DIM_LIMIT}")
-        h = self.hamiltonian
+        heff = self._heff
         eye = np.eye(d)
-        L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for c in self.collapse:
-            cd = c.conj().T
-            cdc = cd @ c
-            L += np.kron(c, c.conj())
-            L -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-        return L
+        cs = np.array(self.collapse).reshape(-1, d, d)
+        L = (np.einsum("ik,jl->ijkl", -1j * heff, eye)
+             + np.einsum("ik,jl->ijkl", eye, 1j * heff.conj())
+             + np.einsum("aik,ajl->ijkl", cs, cs.conj()))
+        return L.reshape(d * d, d * d)
 
 
 def _finalize(sys, mat, trace_tol=1e-6):
@@ -209,8 +207,8 @@ def steadystate(sys, method="null_space", t_max=None, rho0=None,
     d = sys.space.dim
     if method == "null_space":
         L = sys.liouvillian_matrix()
-        scale = np.abs(L).max()
-        A = L / scale
+        L /= np.abs(L).max()
+        A = L.copy()
         # replace the first row with the trace constraint
         A[0, :] = np.eye(d).ravel()
         b = np.zeros(d * d, dtype=complex)
@@ -221,13 +219,13 @@ def steadystate(sys, method="null_space", t_max=None, rho0=None,
             raise NonUniqueSteadyStateError(
                 "Liouvillian linear system is singular") from exc
         rho = x.reshape(d, d)
-        resid = np.abs((L / scale) @ x).max()
+        resid = np.abs(L @ x).max()
         if resid > check_tol:
             raise NonUniqueSteadyStateError(
                 f"null-space residual {resid:.3e} exceeds {check_tol:.1e}; "
                 "steady state may be non-unique")
         if d <= 32:
-            sv = np.linalg.svd(L / scale, compute_uv=False)
+            sv = np.linalg.svd(L, compute_uv=False)
             if sv[-2] < 1e-10:
                 raise NonUniqueSteadyStateError(
                     "Liouvillian null space has dimension > 1")

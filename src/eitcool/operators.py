@@ -5,8 +5,10 @@ subsystem dimensions and operators on composites are built with Kronecker
 products in that order.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +33,9 @@ class HilbertSpace:
             raise ContractViolation("subsystem dims must all be >= 1")
         object.__setattr__(self, "subsystem_dims", dims)
 
-    @property
+    @cached_property
     def dim(self):
-        return int(np.prod(self.subsystem_dims))
+        return math.prod(self.subsystem_dims)
 
 
 @dataclass

@@ -26,6 +26,7 @@ class SpectrumResult:
     nulls: tuple                   # (delta_sigma_plus, delta_sigma_minus)
     peaks: np.ndarray              # bright-resonance positions, rad/s
     failed: np.ndarray = None      # bool mask of failed numeric points
+    failure_reasons: dict = field(default_factory=dict)   # index -> repr
     annotations: dict = field(default_factory=dict)
 
 
@@ -58,9 +59,9 @@ def absorption_numeric(p, grid, jobs=None):
     Each grid point is an independent dim-4 null-space solve; a point
     whose solve fails numerically (RuntimeError, e.g. a non-unique
     steady state, or LinAlgError) is flagged in the result mask instead
-    of being dropped.  Any other exception propagates.  jobs is accepted
-    and unused: the small solves hold the GIL, so the points run in one
-    loop.
+    of being dropped, with repr(exc) kept in failure_reasons under its
+    index.  Any other exception propagates.  jobs is accepted and unused:
+    the small solves hold the GIL, so the points run in one loop.
     """
     if p.omega_pi <= 0:
         raise ContractViolation("probe must be on (omega_pi > 0)")
@@ -69,20 +70,23 @@ def absorption_numeric(p, grid, jobs=None):
     cops = collapse_ops(p)
     values = np.empty(grid.size)
     failed = np.zeros(grid.size, dtype=bool)
+    reasons = {}
 
     for i, delta_p in enumerate(grid):
         try:
             h = hamiltonian_rest(p.replace(delta_p=delta_p))
             ss = steadystate(LindbladSystem(h, cops, space))
             values[i] = ss.matrix[0, 0].real
-        except (RuntimeError, np.linalg.LinAlgError):
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             values[i] = np.nan
             failed[i] = True
+            reasons[i] = repr(exc)
 
     res = SpectrumResult(
         detunings=grid, values=values,
         nulls=(p.delta_sigma_plus, p.delta_sigma_minus),
-        peaks=bright_resonances(p).roots, failed=failed)
+        peaks=bright_resonances(p).roots, failed=failed,
+        failure_reasons=reasons)
     _annotate(res, p)
     return res
 

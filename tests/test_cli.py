@@ -240,3 +240,35 @@ class TestFailurePaths:
                      f"output_dir={tmp_path}"])
         assert code == 2 and artifacts == []
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_failed_points_listed_in_failures_json(self, tmp_path,
+                                                   monkeypatch):
+        from eitcool import spectrum
+        real = spectrum.steadystate
+        calls = []
+
+        def second_point_fails(system):
+            calls.append(system)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("forced")
+            return real(system)
+
+        monkeypatch.setattr(spectrum, "steadystate", second_point_fails)
+        code, artifacts = cli.run(
+            "fig5", ["params.n_points=4", "params.grid_min_mhz=40",
+                     "params.grid_max_mhz=70", f"output_dir={tmp_path}"])
+        assert code == 0
+        assert str(tmp_path / "failures.json") in artifacts
+        with open(tmp_path / "failures.json") as fh:
+            failures = json.load(fh)
+        assert failures == [{"index": 1,
+                             "delta_pi_MHz": pytest.approx(50.0, rel=1e-12),
+                             "error": "LinAlgError('forced')"}]
+
+    def test_clean_run_writes_no_failures_json(self, tmp_path):
+        code, artifacts = cli.run(
+            "fig5", ["params.n_points=4", f"output_dir={tmp_path}"])
+        assert code == 0
+        assert not (tmp_path / "failures.json").exists()
+        assert all(os.path.basename(a) != "failures.json"
+                   for a in artifacts)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from eitcool import spectrum, units
+from eitcool.atom4 import EitParams
 from eitcool.lindblad import (LindbladSystem, NonUniqueSteadyStateError,
                               evolve, steadystate)
 from eitcool.numerics import ContractViolation
@@ -16,6 +18,33 @@ def two_level(omega, delta, gamma):
     # basis order (|e>, |g>)
     c = np.sqrt(gamma) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     return LindbladSystem(h, [c], HilbertSpace((2,)))
+
+
+def kron_liouvillian(sys):
+    """Reference superoperator, one np.kron per term (row-major vec)."""
+    d = sys.space.dim
+    h = sys.hamiltonian
+    eye = np.eye(d)
+    L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in sys.collapse:
+        cdc = c.conj().T @ c
+        L += np.kron(c, c.conj())
+        L -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return L
+
+
+def random_matrix(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def random_systems(seed=7):
+    """Seeded Hermitian H at d = 2..6 with 0..3 non-normal collapse ops."""
+    rng = np.random.default_rng(seed)
+    for d in range(2, 7):
+        for k in range(4):
+            a = random_matrix(rng, d)
+            cops = [random_matrix(rng, d) for _ in range(k)]
+            yield LindbladSystem(a + a.conj().T, cops, HilbertSpace((d,)))
 
 
 class TestConstruction:
@@ -43,6 +72,22 @@ class TestConstruction:
         rho /= np.trace(rho).real
         lhs = (sys.liouvillian_matrix() @ rho.ravel()).reshape(2, 2)
         assert np.abs(lhs - sys.rhs_matrix(rho)).max() < 1e-12
+
+    def test_liouvillian_matches_kron_reference(self):
+        for sys in random_systems():
+            ref = kron_liouvillian(sys)
+            err = np.abs(sys.liouvillian_matrix() - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_rhs_is_liouvillian_on_random_systems(self):
+        rng = np.random.default_rng(8)
+        for sys in random_systems():
+            d = sys.space.dim
+            rho = random_matrix(rng, d)
+            L = sys.liouvillian_matrix()
+            lhs = (L @ rho.ravel()).reshape(d, d)
+            scale = np.abs(L).max() * np.abs(rho).max()
+            assert np.abs(sys.rhs_matrix(rho) - lhs).max() <= 1e-13 * scale
 
     def test_dense_liouvillian_refused_above_limit(self):
         d = 65
@@ -132,3 +177,24 @@ class TestSteadyState:
     def test_unknown_method_rejected(self):
         with pytest.raises(ContractViolation):
             steadystate(two_level(1.0, 0.0, 1.0), method="power")
+
+
+class TestSpectrumSolves:
+    def test_one_solve_per_point_without_kron(self, monkeypatch):
+        # perfbench's lindblad.steadystate.calls counts one call per point
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called on the spectrum path")
+
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return steadystate(system)
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        monkeypatch.setattr(spectrum, "steadystate", counted)
+        p = EitParams.from_mhz(17.0, 17.0, 0.5, 55.0, 59.6, 4.6, gamma=21.0)
+        grid = units.mhz(np.linspace(40.0, 70.0, 7))
+        res = spectrum.absorption_numeric(p, grid)
+        assert len(calls) == grid.size
+        assert not res.failed.any()

@@ -105,6 +105,8 @@ class TestNumeric:
         assert num.failed.tolist() == [False, True, False]
         assert np.isnan(num.values[1])
         assert np.all(np.isfinite(num.values[[0, 2]]))
+        assert num.failure_reasons == {
+            1: repr(NonUniqueSteadyStateError("forced"))}
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(system):
