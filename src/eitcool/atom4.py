@@ -111,13 +111,7 @@ def collapse_ops(p):
 
 def dressed_hamiltonian(p):
     """Drive-only Hamiltonian (probe off): |0> decouples entirely."""
-    osp, osm = p.omega_sigma_plus, p.omega_sigma_minus
-    return np.array([
-        [0.0,     osm / 2,               0.0, osp / 2],
-        [osm / 2, p.delta_sigma_minus,   0.0, 0.0],
-        [0.0,     0.0,                   0.0, 0.0],
-        [osp / 2, 0.0,                   0.0, p.delta_sigma_plus],
-    ], dtype=complex)
+    return hamiltonian_rest(p.replace(omega_pi=0.0, delta_p=0.0))
 
 
 def dressed_energies(p):

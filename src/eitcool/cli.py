@@ -373,24 +373,20 @@ def _run_sideband(cfg, out, jobs):
 
 def _run_odf(cfg, out, jobs):
     p = cfg.params
-
-    class _SingleMode:
-        frequencies = np.array([units.mhz(p["omega_m_mhz"])])
-        b_matrix = np.array([[p["b"]]])
-
-    w = _SingleMode.frequencies[0]
+    w = units.mhz(p["omega_m_mhz"])
+    mode = crystal_mod.ModeDecomposition(
+        frequencies=np.array([w]), b_matrix=np.array([[p["b"]]]),
+        positions=np.zeros((1, 2)))
     tau = p["tau_us"] * 1e-6
     phis = np.linspace(p["phi_min"], p["phi_max"], p["n_points"])
-    rows = []
-    for phi in phis:
-        o = thermo_mod.OdfParams(
-            rabi=units.mhz(p["rabi_mhz"]),
-            mu_r=w + 2.0 * np.pi * phi / tau, tau=tau,
-            tau_pi=p["tau_pi_us"] * 1e-6, gamma_d=p["gamma_d"])
-        pu = thermo_mod.odf_signal(o, _SingleMode, [p["nbar"]])[0]
-        rows.append((float(phi), float(units.to_mhz(o.mu_r)), float(pu)))
+    o = thermo_mod.OdfParams(
+        rabi=units.mhz(p["rabi_mhz"]), mu_r=w + 2.0 * np.pi * phis / tau,
+        tau=tau, tau_pi=p["tau_pi_us"] * 1e-6, gamma_d=p["gamma_d"])
+    pu = thermo_mod.odf_signal(o, mode, [p["nbar"]])[:, 0]
     path = os.path.join(out, "odf_spectrum.csv")
-    _write_csv(path, ["phi_over_2pi", "mu_R_MHz", "P_up"], rows)
+    _write_csv(path, ["phi_over_2pi", "mu_R_MHz", "P_up"],
+               zip(phis.tolist(), units.to_mhz(o.mu_r).tolist(),
+                   pu.tolist()))
     return [path]
 
 

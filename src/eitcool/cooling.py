@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .atom4 import E, MINUS, PLUS, ZERO, dressed_stark_shift
+from .atom4 import (MINUS, PLUS, ZERO, dressed_stark_shift,
+                    hamiltonian_rest)
 from .lindblad import SplitPropagator, run_intervals
 from .numerics import (ContractViolation, DegenerateFitError,
                        fit_least_squares)
@@ -82,37 +83,34 @@ class AllPointsFailedError(RuntimeError):
     """Every point of a detuning scan failed, so it has no minimum."""
 
 
+# Recoil of each hamiltonian_rest entry for k_d = -k_p along the mode: +1
+# for e^(+i k y) (probe absorbed, drive emitted), -1 for e^(-i k y), 0 none.
+RECOIL = np.array([[0, -1, +1, -1],
+                   [+1, 0, 0, 0],
+                   [-1, 0, 0, 0],
+                   [+1, 0, 0, 0]])
+
+
 def hamiltonian_moving(p, m):
     """Moving-ion Hamiltonian on atom x Fock for k_d = -k_p along the mode.
 
-    The recoil phases e^(+-i k y) become displacement operators in
-    eta = k sqrt(hbar/2 M nu); the free motional term nu a^dag a is added
+    Each nonzero entry of hamiltonian_rest(p) multiplies the displacement
+    operator of its RECOIL, e^(+-i k y) in eta = k sqrt(hbar/2 M nu); the
+    free motional term nu a^dag a is added to each diagonal block
     explicitly (the rotating-frame elimination removes only the optical
     frequencies, not the secular motion).
     """
     fock = FockOperators(m.n_max)
     nf = fock.dim
-    d_plus = displacement_exp(fock, m.eta)      # e^(+i k y), probe side
-    d_minus = d_plus.conj().T                   # e^(-i k y), drive side
-    eye_f = np.eye(nf, dtype=complex)
-
-    h = np.zeros((4 * nf, 4 * nf), dtype=complex)
-
-    def block(i, j, mat):
-        h[i * nf:(i + 1) * nf, j * nf:(j + 1) * nf] += mat
-
-    block(E, PLUS, p.omega_sigma_minus / 2 * d_minus)
-    block(PLUS, E, p.omega_sigma_minus / 2 * d_plus)
-    block(E, ZERO, -p.omega_pi / 2 * d_plus)
-    block(ZERO, E, -p.omega_pi / 2 * d_minus)
-    block(E, MINUS, p.omega_sigma_plus / 2 * d_minus)
-    block(MINUS, E, p.omega_sigma_plus / 2 * d_plus)
-    block(PLUS, PLUS, (p.delta_d + p.delta_B) * eye_f)
-    block(ZERO, ZERO, p.delta_p * eye_f)
-    block(MINUS, MINUS, (p.delta_d - p.delta_B) * eye_f)
+    d_plus = displacement_exp(fock, m.eta)
+    disp = {+1: d_plus, -1: d_plus.conj().T, 0: np.eye(nf, dtype=complex)}
+    h_rest = hamiltonian_rest(p)
+    h = np.zeros((4, nf, 4, nf), dtype=complex)
+    for i, j in zip(*np.nonzero(h_rest)):
+        h[i, :, j] = h_rest[i, j] * disp[RECOIL[i, j]]
     for i in range(4):
-        block(i, i, m.nu * fock.number)
-    return h
+        h[i, :, i] += m.nu * fock.number
+    return h.reshape(4 * nf, 4 * nf)
 
 
 def doppler_initial_state(m, nbar0):

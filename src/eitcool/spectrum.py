@@ -45,12 +45,7 @@ def absorption_analytic(p, grid):
     c3, c2, c1, c0 = dressed_cubic_coeffs(p)
     cubic = ((c3 * grid + c2) * grid + c1) * grid + c0
     z = 4.0 * p.gamma**2 * num**2 + cubic**2
-    w = 16.0 * num**2 / z
-    res = SpectrumResult(
-        detunings=grid, values=w, nulls=(dsp, dsm),
-        peaks=bright_resonances(p).roots)
-    _annotate(res, p)
-    return res
+    return _result(p, grid, 16.0 * num**2 / z)
 
 
 def absorption_numeric(p, grid, jobs=None):
@@ -82,13 +77,7 @@ def absorption_numeric(p, grid, jobs=None):
             failed[i] = True
             reasons[i] = repr(exc)
 
-    res = SpectrumResult(
-        detunings=grid, values=values,
-        nulls=(p.delta_sigma_plus, p.delta_sigma_minus),
-        peaks=bright_resonances(p).roots, failed=failed,
-        failure_reasons=reasons)
-    _annotate(res, p)
-    return res
+    return _result(p, grid, values, failed=failed, failure_reasons=reasons)
 
 
 @dataclass
@@ -114,15 +103,15 @@ def bright_resonances(p):
                             all_real=all_real)
 
 
-def _annotate(res, p, nu=None):
-    """Carrier/sideband markers around the cooling dark point."""
-    carrier = p.delta_d + p.delta_B
-    res.annotations["carrier"] = carrier
-    res.annotations["cooling_peak"] = bright_resonances(p).cooling_peak
-    res.annotations["stark_shift"] = dressed_stark_shift(p)
-    if nu is not None:
-        res.annotations["red_sideband"] = carrier + nu
-        res.annotations["blue_sideband"] = carrier - nu
+def _result(p, grid, values, **kw):
+    """SpectrumResult of p, solving the bright-resonance cubic once."""
+    br = bright_resonances(p)
+    return SpectrumResult(
+        detunings=grid, values=values,
+        nulls=(p.delta_sigma_plus, p.delta_sigma_minus), peaks=br.roots,
+        annotations={"carrier": p.delta_d + p.delta_B,
+                     "cooling_peak": br.cooling_peak,
+                     "stark_shift": dressed_stark_shift(p)}, **kw)
 
 
 def write_csv(path, analytic, numeric=None):

@@ -278,23 +278,24 @@ def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
     return float(sigma_ratio / slope)
 
 
+# Lamb-Dicke factor of the ODF beams: Yb-171 S-P Raman wavevector and mass
+_ODF_K_MAG = 2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM * 1e-9)
+_ODF_MASS = units.YB171_MASS_AMU * units.AMU
+
+
 @dataclass
 class OdfParams:
     """Spin-echo ODF sequence parameters.
 
     rabi is the per-ion carrier Rabi frequency (a scalar calibrated on a
-    single ion applies to all ions); k_mag and mass set the Lamb-Dicke
-    parameter of each mode.
+    single ion applies to all ions); mu_r is one Raman detuning or an
+    array of them.
     """
     rabi: np.ndarray               # Omega_j, rad/s (scalar broadcast)
-    mu_r: float                    # Raman detuning, rad/s
+    mu_r: float                    # Raman detuning(s), rad/s
     tau: float                     # ODF arm duration, s
     tau_pi: float = 0.0            # spin-echo pi time, s
     gamma_d: float = 0.0           # background decoherence, 1/s
-    phi_s: float = 0.0
-    phi_m: float = 0.0
-    k_mag: float = 2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM * 1e-9)
-    mass: float = units.YB171_MASS_AMU * units.AMU
 
     def __post_init__(self):
         self.rabi = np.atleast_1d(np.asarray(self.rabi, dtype=float))
@@ -303,42 +304,37 @@ class OdfParams:
         if self.gamma_d < 0:
             raise ContractViolation("gamma_d must be >= 0")
 
-    def eta(self, omega_m):
-        return self.k_mag * np.sqrt(
-            units.HBAR / (2.0 * self.mass * omega_m))
-
-    def rabi_of(self, j):
-        return self.rabi[j] if self.rabi.size > 1 else self.rabi[0]
-
 
 def odf_alpha(o, mode, j=0):
     """Residual spin-motion displacement of ion j for one mode.
 
-    mode is (omega_m, b_j) for that ion.  The closed form has a
-    removable singularity at mu_r = omega_m; within 1e-6 relative of the
-    pole the first-order series (which vanishes linearly at resonance,
-    the echo cancelling the resonant displacement) is used instead.
+    mode is (omega_m, b_j) for that ion.  omega_m, b_j and j broadcast
+    against each other; the result has shape(o.mu_r) followed by their
+    broadcast shape.  The closed form has a removable singularity at
+    mu_r = omega_m; within 1e-6 relative of the pole the first-order
+    series (which vanishes linearly at resonance, the echo cancelling
+    the resonant displacement) is used instead.
     """
-    omega_m, b_j = mode
-    if omega_m <= 0:
+    w, b_j = (np.asarray(v, dtype=float) for v in mode)
+    if np.any(w <= 0):
         raise ContractViolation("mode frequency must be positive")
-    amp = o.rabi_of(j) * b_j * o.eta(omega_m)
-    if amp == 0:
-        return 0.0 + 0.0j
-    mu, tau, s = o.mu_r, o.tau, o.tau + o.tau_pi
-    delta = mu - omega_m
-    if abs(delta) < 1e-6 * omega_m:
-        w = omega_m
-        bracket = (0.5 * np.sin(2.0 * w * tau) - w * tau
-                   + 1j * np.sin(w * tau)**2)
-        return amp * delta * s * bracket / (2.0 * w)
+    rabi = o.rabi[j] if o.rabi.size > 1 else o.rabi[0]
+    eta = _ODF_K_MAG * np.sqrt(units.HBAR / (2.0 * _ODF_MASS * w))
+    amp = rabi * b_j * eta
+    mu = np.reshape(o.mu_r, np.shape(o.mu_r) + (1,) * np.ndim(amp))
+    tau, s = o.tau, o.tau + o.tau_pi
+    delta = mu - w
+    bracket = (0.5 * np.sin(2.0 * w * tau) - w * tau
+               + 1j * np.sin(w * tau)**2)
+    series = amp * delta * s * bracket / (2.0 * w)
     phi = s * delta
-    w = omega_m
     num = (w * (1.0 - np.cos(phi)) + 1j * mu * np.sin(phi)
            - np.exp(1j * w * tau)
            * (w * (np.cos(mu * tau) - np.cos(mu * tau + phi))
               - 1j * mu * (np.sin(mu * tau) - np.sin(mu * tau + phi))))
-    return amp * num / (mu**2 - w**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = amp * num / (mu**2 - w**2)
+    return np.where(np.abs(delta) < 1e-6 * w, series, closed)[()]
 
 
 def odf_signal(o, modes, nbars):
@@ -347,23 +343,21 @@ def odf_signal(o, modes, nbars):
     P_up_j = 1/2 [1 - e^(-2 gamma_d tau)
                   exp(-2 sum_m |alpha_jm|^2 (2 nbar_m + 1))]
     modes is a ModeDecomposition (or anything with .frequencies and
-    .b_matrix); nbars is the per-mode occupation.
+    .b_matrix); nbars is the per-mode occupation.  Returns shape
+    (n_ions,) for a scalar o.mu_r and one such row per detuning for an
+    array.
     """
     freqs = np.asarray(modes.frequencies, dtype=float)
     b = np.asarray(modes.b_matrix, dtype=float)
     nbars = np.asarray(nbars, dtype=float)
     if nbars.size != freqs.size:
         raise ContractViolation("need one nbar per mode")
-    n_ions = b.shape[0]
-    out = np.empty(n_ions)
-    for j in range(n_ions):
-        acc = 0.0
-        for m in range(freqs.size):
-            a = odf_alpha(o, (freqs[m], b[j, m]), j)
-            acc += np.abs(a)**2 * (2.0 * nbars[m] + 1.0)
-        out[j] = 0.5 * (1.0 - np.exp(-2.0 * o.gamma_d * o.tau)
-                        * np.exp(-2.0 * acc))
-    return out
+    if o.rabi.size not in (1, b.shape[0]):
+        raise ContractViolation("need one Rabi frequency, or one per ion")
+    alpha = odf_alpha(o, (freqs, b), np.arange(b.shape[0])[:, None])
+    acc = np.sum(np.abs(alpha)**2 * (2.0 * nbars + 1.0), axis=-1)
+    return 0.5 * (1.0 - np.exp(-2.0 * o.gamma_d * o.tau)
+                  * np.exp(-2.0 * acc))
 
 
 def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
@@ -376,6 +370,8 @@ def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
     calibration (default 0).  mode_index defaults to the
     highest-frequency (COM) mode.
     """
+    if np.ndim(o.mu_r):
+        raise ContractViolation("height inversion needs one detuning mu_r")
     freqs = np.asarray(modes.frequencies, dtype=float)
     if mode_index is None:
         mode_index = int(np.argmax(freqs))
@@ -444,18 +440,42 @@ def expected_projection_sigma(p_model, shots=200):
 
 
 def read_trace_csv(path):
-    """Read `t_us, P_up[, sigma]` rows; returns (t_seconds, p, sigma)."""
-    rows = []
+    """Read `t_us, P_up[, sigma]` rows; returns (t_seconds, p, sigma).
+
+    Every row has the header's 2 or 3 fields, with t_us and P_up filled
+    in; sigma is filled in every row or blank in every row (then None).
+    Anything else raises ContractViolation naming the line.
+    """
+    rows, blank_sigma = [], []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        n_cols = len(next(rd, []))
+        if n_cols not in (2, 3):
+            raise ContractViolation(
+                f"{path}: line 1: need a header t_us, P_up[, sigma]")
         for row in rd:
-            rows.append([float(v) for v in row if v != ""])
+            where = f"{path}: line {rd.line_num}"
+            if len(row) != n_cols:
+                raise ContractViolation(
+                    f"{where}: {len(row)} fields, the header has {n_cols}")
+            if "" in row[:2]:
+                raise ContractViolation(f"{where}: t_us or P_up is blank")
+            if row[2:] == [""]:
+                blank_sigma.append(rd.line_num)
+                row = row[:2]
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ContractViolation(f"{where}: {exc}") from None
+    if not rows:
+        raise ContractViolation(f"{path}: no data rows after line 1")
+    if 0 < len(blank_sigma) < len(rows):
+        raise ContractViolation(
+            f"{path}: line {blank_sigma[0]}: sigma is blank but other "
+            "rows give one")
     arr = np.array(rows)
-    t = arr[:, 0] * 1e-6
-    p = arr[:, 1]
     sig = arr[:, 2] if arr.shape[1] > 2 else None
-    return t, p, sig
+    return arr[:, 0] * 1e-6, arr[:, 1], sig
 
 
 def write_nbar_csv(path, mode_freqs, nbars, sigmas=None):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from eitcool import cooling, units
-from eitcool.atom4 import MINUS, PLUS, ZERO, EitParams, dressed_stark_shift
+from eitcool.atom4 import (E, MINUS, PLUS, ZERO, EitParams,
+                          dressed_stark_shift)
 from eitcool.cooling import (AllPointsFailedError, MotionalMode,
                              com_mode_for_crystal, detuning_scan,
                              doppler_initial_state, hamiltonian_moving,
@@ -15,7 +16,8 @@ from eitcool.cooling import (AllPointsFailedError, MotionalMode,
                              simulate_cooling)
 from eitcool.lindblad import LindbladSystem, SplitPropagator, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import DensityMatrix, FockOperators, HilbertSpace
+from eitcool.operators import (DensityMatrix, FockOperators, HilbertSpace,
+                               displacement_exp)
 
 P = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
 
@@ -40,11 +42,48 @@ class TestMotionalMode:
         assert abs(np.linalg.norm(m.b) - 1.0) < 1e-12
 
 
+def _hamiltonian_moving_blocks(p, m):
+    """Reference moving-ion Hamiltonian written block by block."""
+    fock = FockOperators(m.n_max)
+    nf = fock.dim
+    d_plus = displacement_exp(fock, m.eta)      # e^(+i k y), probe side
+    d_minus = d_plus.conj().T                   # e^(-i k y), drive side
+    eye_f = np.eye(nf, dtype=complex)
+    h = np.zeros((4 * nf, 4 * nf), dtype=complex)
+
+    def block(i, j, mat):
+        h[i * nf:(i + 1) * nf, j * nf:(j + 1) * nf] += mat
+
+    block(E, PLUS, p.omega_sigma_minus / 2 * d_minus)
+    block(PLUS, E, p.omega_sigma_minus / 2 * d_plus)
+    block(E, ZERO, -p.omega_pi / 2 * d_plus)
+    block(ZERO, E, -p.omega_pi / 2 * d_minus)
+    block(E, MINUS, p.omega_sigma_plus / 2 * d_minus)
+    block(MINUS, E, p.omega_sigma_plus / 2 * d_plus)
+    block(PLUS, PLUS, (p.delta_d + p.delta_B) * eye_f)
+    block(ZERO, ZERO, p.delta_p * eye_f)
+    block(MINUS, MINUS, (p.delta_d - p.delta_B) * eye_f)
+    for i in range(4):
+        block(i, i, m.nu * fock.number)
+    return h
+
+
 class TestHamiltonianMoving:
     def test_hermitian(self):
         m = MotionalMode.from_lab(2.38, n_max=8)
         h = hamiltonian_moving(P, m)
         assert np.abs(h - h.conj().T).max() < 1e-10 * np.abs(h).max()
+
+    def test_matches_block_construction(self):
+        rng = np.random.default_rng(11)
+        for n_max in (8, 25, 40):
+            for _ in range(10):
+                p = EitParams.from_mhz(*rng.uniform(0.0, 30.0, 3),
+                                       *rng.uniform(-60.0, 60.0, 3))
+                m = MotionalMode.from_lab(rng.uniform(0.5, 3.0),
+                                          n_max=n_max)
+                assert np.array_equal(hamiltonian_moving(p, m),
+                                      _hamiltonian_moving_blocks(p, m))
 
     def test_reduces_to_rest_at_zero_coupling(self):
         # with all Rabi rates off only the detuning and nu a^dag a

@@ -9,6 +9,8 @@ import pytest
 
 from eitcool import units
 from eitcool.cooling import MotionalMode, com_mode_for_crystal
+from eitcool.crystal import (CrystalConfig, equilibrium_positions,
+                             transverse_modes)
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import ContractViolation
 from eitcool.operators import (DensityMatrix, HilbertSpace, TruncationWarning,
@@ -362,6 +364,59 @@ def odf_at_phi(phi, tau=100e-6, rabi_mhz=0.005, **kw):
                      mu_r=w + 2.0 * np.pi * phi / tau, tau=tau, **kw)
 
 
+def _odf_alpha_scalar(amp, mu, tau, tau_pi, w):
+    """One ion, one mode, one detuning: the closed form written out."""
+    if amp == 0:
+        return 0.0 + 0.0j
+    s = tau + tau_pi
+    delta = mu - w
+    if abs(delta) < 1e-6 * w:
+        bracket = (0.5 * np.sin(2.0 * w * tau) - w * tau
+                   + 1j * np.sin(w * tau)**2)
+        return amp * delta * s * bracket / (2.0 * w)
+    phi = s * delta
+    num = (w * (1.0 - np.cos(phi)) + 1j * mu * np.sin(phi)
+           - np.exp(1j * w * tau)
+           * (w * (np.cos(mu * tau) - np.cos(mu * tau + phi))
+              - 1j * mu * (np.sin(mu * tau) - np.sin(mu * tau + phi))))
+    return amp * num / (mu**2 - w**2)
+
+
+def _odf_signal_loop(rabi, mu, tau, tau_pi, gamma_d, modes, nbars):
+    """Reference ODF signal: explicit loops over ions and modes."""
+    k_mag = 2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM * 1e-9)
+    mass = units.YB171_MASS_AMU * units.AMU
+    freqs, b = modes.frequencies, modes.b_matrix
+    out = np.empty(b.shape[0])
+    for j in range(b.shape[0]):
+        acc = 0.0
+        for m in range(freqs.size):
+            eta = k_mag * np.sqrt(units.HBAR / (2.0 * mass * freqs[m]))
+            a = _odf_alpha_scalar(rabi[j] * b[j, m] * eta, mu, tau, tau_pi,
+                                  freqs[m])
+            acc += np.abs(a)**2 * (2.0 * nbars[m] + 1.0)
+        out[j] = 0.5 * (1.0 - np.exp(-2.0 * gamma_d * tau)
+                        * np.exp(-2.0 * acc))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fig4_odf():
+    """fig4's 12-ion crystal with per-ion Rabi rates and 212 detunings.
+
+    One detuning sits exactly on each mode (the near-pole series) and 200
+    span the band.
+    """
+    c = CrystalConfig.from_mhz(12, 0.34, 1.22, 0.42)
+    modes = transverse_modes(c, equilibrium_positions(c))
+    f = modes.frequencies
+    o = OdfParams(rabi=units.mhz(np.linspace(0.004, 0.006, 12)),
+                  mu_r=np.concatenate([f, np.linspace(0.9 * f[0],
+                                                      1.1 * f[-1], 200)]),
+                  tau=100e-6, tau_pi=2e-6, gamma_d=50.0)
+    return modes, o, np.linspace(0.1, 3.0, 12)
+
+
 class TestOdf:
     def test_nulls_at_detuning_multiples(self):
         for n in range(1, 6):
@@ -403,6 +458,12 @@ class TestOdf:
             got = odf_height_to_nbar(h, o, ODF_MODE)
             assert abs(got - nbar) < 1e-2
 
+    def test_height_needs_one_detuning(self):
+        o = odf_at_phi(0.37)
+        o.mu_r = np.array([o.mu_r, o.mu_r])
+        with pytest.raises(ContractViolation, match="one detuning"):
+            odf_height_to_nbar(0.1, o, ODF_MODE)
+
     def test_height_out_of_range(self):
         o = odf_at_phi(0.37)
         with pytest.raises(InversionRangeError):
@@ -418,6 +479,34 @@ class TestOdf:
         o = odf_at_phi(0.37)
         with pytest.raises(ContractViolation):
             odf_signal(o, ODF_MODE, [0.1, 0.2])
+
+    @pytest.mark.parametrize("n_rabi", [2, 13])
+    def test_rabi_count_mismatch(self, fig4_odf, n_rabi):
+        modes, o, nbars = fig4_odf
+        o = OdfParams(rabi=np.full(n_rabi, o.rabi[0]), mu_r=o.mu_r,
+                      tau=o.tau)
+        with pytest.raises(ContractViolation, match="per ion"):
+            odf_signal(o, modes, nbars)
+
+    def test_signal_matches_ion_mode_loop_on_fig4_crystal(self, fig4_odf):
+        modes, o, nbars = fig4_odf
+        got = odf_signal(o, modes, nbars)
+        assert got.shape == (o.mu_r.size, 12)
+        want = np.stack([_odf_signal_loop(o.rabi, mu, o.tau, o.tau_pi,
+                                          o.gamma_d, modes, nbars)
+                         for mu in o.mu_r])
+        # the same expressions, but numpy's vectorised complex product
+        # and pairwise sum round differently from the scalar loop in the
+        # last bit (7 of these 212 rows, by up to 5.6e-17); P_up <= 1/2
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+
+    def test_array_detuning_stacks_scalar_calls(self, fig4_odf):
+        modes, o, nbars = fig4_odf
+        want = np.stack([
+            odf_signal(OdfParams(rabi=o.rabi, mu_r=mu, tau=o.tau,
+                                 tau_pi=o.tau_pi, gamma_d=o.gamma_d),
+                       modes, nbars) for mu in o.mu_r])
+        assert np.array_equal(odf_signal(o, modes, nbars), want)
 
     def test_heating_rate_recovery(self):
         t = np.array([0.0, 5e-3, 10e-3, 20e-3])
@@ -453,6 +542,25 @@ class TestNoiseAndIo:
         assert np.allclose(t, [1e-6, 2.5e-6])
         assert np.allclose(p, [0.25, 0.5])
         assert np.allclose(sig, [0.01, 0.02])
+
+    def test_trace_csv_blank_sigma_column(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_us,P_up,sigma\n1.0,0.25,\n2.5,0.5,\n")
+        t, p, sig = read_trace_csv(path)
+        assert np.allclose(p, [0.25, 0.5]) and sig is None
+
+    @pytest.mark.parametrize("text, line", [
+        ("t_us,P_up,sigma\n1.0,,0.01\n2.5,,0.02\n", 2),   # no P_up
+        ("t_us,P_up,sigma\n", 1),                          # header only
+        ("t_us,P_up,sigma\n1.0,0.25,0.01\n2.5,0.5\n", 3),  # ragged
+        ("t_us,P_up,sigma\n1.0,0.25,0.01\n2.5,0.5,\n", 3),  # sigma gap
+        ("t_us,P_up\n1.0,x\n", 2),                        # not a number
+    ])
+    def test_trace_csv_rejects_malformed(self, tmp_path, text, line):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match=f"line {line}"):
+            read_trace_csv(path)
 
     def test_nbar_csv(self, tmp_path):
         path = tmp_path / "nbar.csv"
