@@ -464,6 +464,13 @@ def resolve_config_path(path):
     raise ConfigError(f"config not found: {path}")
 
 
+def _load_config(config_path, overrides):
+    """Open, parse, override and validate one config."""
+    with open(resolve_config_path(config_path)) as fh:
+        raw = json.load(fh)
+    return validate_config(apply_overrides(raw, overrides))
+
+
 def run(config_path, overrides=(), jobs=None):
     """Execute one config; returns (exit_code, artifact_paths).
 
@@ -474,10 +481,7 @@ def run(config_path, overrides=(), jobs=None):
     try:
         if jobs is not None and jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        with open(resolve_config_path(config_path)) as fh:
-            raw = json.load(fh)
-        raw = apply_overrides(raw, overrides)
-        cfg = validate_config(raw)
+        cfg = _load_config(config_path, overrides)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, []
@@ -536,9 +540,7 @@ def main(argv=None):
         return 0
     if args.command == "validate":
         try:
-            with open(resolve_config_path(args.config)) as fh:
-                raw = json.load(fh)
-            validate_config(apply_overrides(raw, args.overrides))
+            _load_config(args.config, args.overrides)
         except (ConfigError, json.JSONDecodeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

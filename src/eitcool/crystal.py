@@ -155,6 +155,19 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
     return pos
 
 
+def _projector_basis(v):
+    """Orthonormal basis of the span of v's orthonormal columns that
+    depends only on the projector P = v v^dag: Gram-Schmidt of the
+    projected unit vectors P e_i in ion order, skipping residuals below
+    1e-6 (ions that take no part by symmetry)."""
+    basis = []
+    for r in (v @ v.conj().T).real.T:
+        r = r - sum((u @ r) * u for u in basis)
+        if np.linalg.norm(r) > 1e-6:
+            basis.append(r / np.linalg.norm(r))
+    return np.column_stack(basis[:v.shape[1]])
+
+
 def transverse_modes(c, positions):
     """Transverse (y) mode frequencies and participation matrix.
 
@@ -189,6 +202,13 @@ def transverse_modes(c, positions):
         raise PlanarInstabilityError(
             f"planar crystal unstable: mode 0 has omega^2 = {w2[0]:.3e}",
             0)
+    # eigh's basis inside an exactly degenerate subspace (relative
+    # omega^2 gap below 1e-10, e.g. in-plane rotational symmetry) follows
+    # rounding; replace it by one read off the subspace's projector
+    split = np.flatnonzero(np.diff(w2) >= 1e-10 * np.abs(w2[1:])) + 1
+    for group in np.split(np.arange(n), split):
+        if group.size > 1:
+            b[:, group] = _projector_basis(b[:, group])
     b = np.real(b)
     # sign convention: the first ion whose |b| is within 1e-9 relative of
     # the column maximum is positive; symmetric crystals have near-tied

@@ -12,19 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .numerics import ContractViolation, OdeSpec, integrate_ode
+from .numerics import ContractViolation, integrate_ode
 from .operators import DensityMatrix, HilbertSpace
 
-# above this total dimension the dense Liouvillian (d^2 x d^2) is
-# impractical and steady states fall back to long-time evolution
+# the dense Liouvillian (d^2 x d^2) and with it the steady-state solve
+# are refused above this total dimension
 NULL_SPACE_DIM_LIMIT = 64
 
 
 class NonUniqueSteadyStateError(RuntimeError):
-    pass
-
-
-class SteadyStateTimeout(RuntimeError):
     pass
 
 
@@ -89,41 +85,21 @@ def _finalize(sys, mat, trace_tol=1e-6):
     return DensityMatrix(sys.space, mat / tr)
 
 
-def evolve(sys, rho0, t_list, rel_tol=1e-8, abs_tol=1e-10, method="auto",
-           split_dt=2e-9):
+def evolve(sys, rho0, t_list, rel_tol=1e-8, abs_tol=1e-10):
     """Trajectory of density matrices at the requested times.
 
-    method "rk45" integrates the full generator with scipy's adaptive
-    RK45; "split" runs SplitPropagator, which alternates the exact no-jump
-    propagator exp(-i H_eff dt) with a first-order jump update and is far
-    cheaper for large Hilbert spaces at fixed fast-rotation scales.
-    "auto" switches to the split propagator above dimension 64.  Both
-    paths are cross-checked against each other in the test suite.
+    Integrates the full generator with scipy's adaptive RK45 from t = 0;
+    this is the reference the fixed-step SplitPropagator is checked
+    against.
     """
     t_list = np.asarray(t_list, dtype=float)
     d = sys.space.dim
-    rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0,
-                   dtype=complex, order="C")
-    if method == "auto":
-        method = "rk45" if d <= NULL_SPACE_DIM_LIMIT else "split"
-
-    if method == "rk45":
-        def rhs(y):
-            return sys.rhs_matrix(y.reshape(d, d)).ravel()
-        ts = t_list if t_list[0] == 0.0 else np.r_[0.0, t_list]
-        spec = OdeSpec(rhs=rhs, t_list=ts, rel_tol=rel_tol, abs_tol=abs_tol)
-        states = integrate_ode(spec, rho.ravel())
-        if t_list[0] != 0.0:
-            states = states[1:]
-        return [_finalize(sys, s.reshape(d, d)) for s in states]
-
-    if method != "split":
-        raise ContractViolation(f"unknown method {method!r}")
-    heff = sys.effective_hamiltonian()
-    out, _ = run_intervals(
-        lambda dt: SplitPropagator(heff, dt, sys.collapse), rho, t_list,
-        split_dt, lambda r: _finalize(sys, r))
-    return out
+    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else rho0
+    skip = int(t_list[0] != 0.0)        # 1 when t = 0 is prepended
+    states = integrate_ode(lambda y: sys.rhs_matrix(y.reshape(d, d)).ravel(),
+                           np.r_[0.0, t_list] if skip else t_list, rho,
+                           rel_tol, abs_tol)
+    return [_finalize(sys, s.reshape(d, d)) for s in states[skip:]]
 
 
 class SplitPropagator:
@@ -194,66 +170,34 @@ def run_intervals(make, rho, t_list, dt_target, sample):
                     default=0.0)
 
 
-def steadystate(sys, method="null_space", t_max=None, rho0=None,
-                check_tol=1e-9):
-    """Steady state of the Lindblad generator.
+def steadystate(sys, check_tol=1e-9):
+    """Steady state of the Lindblad generator (dims <= 64 only).
 
-    "null_space" solves the dense d^2 x d^2 linear system with the trace
-    constraint replacing one row (dims <= 64 only); the residual contract
-    ||L rho_ss||_max < check_tol is evaluated on the generator normalized
-    by its largest entry.  "long_time" evolves until
-    ||rho(t + dt) - rho(t)||_max < 1e-8.
+    Solves the dense d^2 x d^2 linear system with the trace constraint
+    replacing one row; the residual contract ||L rho_ss||_max < check_tol
+    is evaluated on the generator normalized by its largest entry.
     """
     d = sys.space.dim
-    if method == "null_space":
-        L = sys.liouvillian_matrix()
-        L /= np.abs(L).max()
-        A = L.copy()
-        # replace the first row with the trace constraint
-        A[0, :] = np.eye(d).ravel()
-        b = np.zeros(d * d, dtype=complex)
-        b[0] = 1.0
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
+    L = sys.liouvillian_matrix()
+    L /= np.abs(L).max()
+    A = L.copy()
+    # replace the first row with the trace constraint
+    A[0, :] = np.eye(d).ravel()
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NonUniqueSteadyStateError(
+            "Liouvillian linear system is singular") from exc
+    resid = np.abs(L @ x).max()
+    if resid > check_tol:
+        raise NonUniqueSteadyStateError(
+            f"null-space residual {resid:.3e} exceeds {check_tol:.1e}; "
+            "steady state may be non-unique")
+    if d <= 32:
+        sv = np.linalg.svd(L, compute_uv=False)
+        if sv[-2] < 1e-10:
             raise NonUniqueSteadyStateError(
-                "Liouvillian linear system is singular") from exc
-        rho = x.reshape(d, d)
-        resid = np.abs(L @ x).max()
-        if resid > check_tol:
-            raise NonUniqueSteadyStateError(
-                f"null-space residual {resid:.3e} exceeds {check_tol:.1e}; "
-                "steady state may be non-unique")
-        if d <= 32:
-            sv = np.linalg.svd(L, compute_uv=False)
-            if sv[-2] < 1e-10:
-                raise NonUniqueSteadyStateError(
-                    "Liouvillian null space has dimension > 1")
-        return _finalize(sys, rho)
-
-    if method != "long_time":
-        raise ContractViolation(f"unknown method {method!r}")
-
-    rates = [np.abs(np.trace(c.conj().T @ c)).real / d for c in sys.collapse
-             if np.abs(c).max() > 0]
-    slowest = min(rates) if rates else 1.0
-    if t_max is None:
-        t_max = 50.0 / slowest
-    if rho0 is None:
-        rho = np.eye(d, dtype=complex) / d
-    else:
-        rho = np.asarray(
-            rho0.matrix if isinstance(rho0, DensityMatrix) else rho0,
-            dtype=complex)
-    dt_chunk = min(1.0 / slowest, t_max / 10.0)
-    t = 0.0
-    prev = rho
-    while t < t_max:
-        cur = evolve(sys, DensityMatrix(sys.space, prev), [dt_chunk],
-                     method="auto")[-1].matrix
-        t += dt_chunk
-        if np.abs(cur - prev).max() < 1e-8:
-            return _finalize(sys, cur)
-        prev = cur
-    raise SteadyStateTimeout(
-        f"no steady state within t_max = {t_max:.3e} s")
+                "Liouvillian null space has dimension > 1")
+    return _finalize(sys, x.reshape(d, d))

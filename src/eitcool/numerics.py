@@ -1,6 +1,6 @@
 """Shared numerical kernels: Hermitian eigensolver, real cubic roots,
-adaptive ODE integration (scipy's RK45 behind the OdeSpec /
-StiffnessError contract), and MINPACK Levenberg-Marquardt least squares
+adaptive ODE integration (scipy's RK45 behind the StiffnessError
+contract), and MINPACK Levenberg-Marquardt least squares
 (scipy's least_squares behind the DegenerateFitError / sigma contract).
 
 Everything downstream (spectra, cooling, thermometry, calibration fits)
@@ -45,22 +45,6 @@ class FitResult:
     residual_norm: float
     converged: bool
     n_iter: int
-
-
-@dataclass
-class OdeSpec:
-    """Linear, time-independent initial value problem dy/dt = rhs(y)."""
-    rhs: callable
-    t_list: np.ndarray
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        self.t_list = np.asarray(self.t_list, dtype=float)
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ContractViolation("tolerances must be positive")
-        if self.t_list.ndim != 1 or np.any(np.diff(self.t_list) <= 0):
-            raise ContractViolation("t_list must be strictly increasing")
 
 
 def eig_hermitian(m):
@@ -136,26 +120,30 @@ def _polish_cubic_root(c3, c2, c1, c0, x):
     return x
 
 
-def integrate_ode(spec, y0):
-    """Integrate dy/dt = rhs(y) over spec.t_list.
+def integrate_ode(rhs, t_list, y0, rel_tol=1e-8, abs_tol=1e-10):
+    """Integrate the time-independent dy/dt = rhs(y) over t_list.
 
-    scipy's adaptive RK45 (Dormand-Prince 5(4)); the first t_list entry is
-    the initial time and the other states come from its per-step
-    interpolant.  Returns an array of states of shape
-    (len(t_list), len(y0)).  Raises StiffnessError, carrying the last time
-    reached, when the step size underflows.
+    scipy's adaptive RK45 (Dormand-Prince 5(4)); t_list must be strictly
+    increasing, its first entry is the initial time and the other states
+    come from the per-step interpolant.  Returns an array of states of
+    shape (len(t_list), len(y0)).  Raises StiffnessError, carrying the
+    last time reached, when the step size underflows.
     """
+    t_list = np.asarray(t_list, dtype=float)
+    if rel_tol <= 0 or abs_tol <= 0:
+        raise ContractViolation("tolerances must be positive")
+    if t_list.ndim != 1 or np.any(np.diff(t_list) <= 0):
+        raise ContractViolation("t_list must be strictly increasing")
+    y = np.asarray(y0, dtype=complex).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ContractViolation("initial state must be finite")
     # imported on first use: loading scipy.integrate at module level adds
     # about 3 MB and 0.1 s to every import of the package
     from scipy.integrate import solve_ivp
 
-    y = np.asarray(y0, dtype=complex).ravel()
-    if not np.all(np.isfinite(y)):
-        raise ContractViolation("initial state must be finite")
-    t_list = spec.t_list
-    sol = solve_ivp(lambda t, yy: spec.rhs(yy), (t_list[0], t_list[-1]), y,
-                    method="RK45", dense_output=True, rtol=spec.rel_tol,
-                    atol=spec.abs_tol)
+    sol = solve_ivp(lambda t, yy: rhs(yy), (t_list[0], t_list[-1]), y,
+                    method="RK45", dense_output=True, rtol=rel_tol,
+                    atol=abs_tol)
     if sol.status != 0:
         t_last = float(sol.t[-1])
         raise StiffnessError(f"{sol.message} (t = {t_last:.6e})", t_last)

@@ -337,6 +337,16 @@ def odf_alpha(o, mode, j=0):
     return np.where(np.abs(delta) < 1e-6 * w, series, closed)[()]
 
 
+def _odf_alpha2(o, modes):
+    """|alpha_jm|^2 over ions x modes (per detuning for an array mu_r)."""
+    freqs = np.asarray(modes.frequencies, dtype=float)
+    b = np.asarray(modes.b_matrix, dtype=float)
+    if o.rabi.size not in (1, b.shape[0]):
+        raise ContractViolation("need one Rabi frequency, or one per ion")
+    alpha = odf_alpha(o, (freqs, b), np.arange(b.shape[0])[:, None])
+    return np.abs(alpha)**2
+
+
 def odf_signal(o, modes, nbars):
     """Per-ion ODF Ramsey population.
 
@@ -347,51 +357,47 @@ def odf_signal(o, modes, nbars):
     (n_ions,) for a scalar o.mu_r and one such row per detuning for an
     array.
     """
-    freqs = np.asarray(modes.frequencies, dtype=float)
-    b = np.asarray(modes.b_matrix, dtype=float)
     nbars = np.asarray(nbars, dtype=float)
-    if nbars.size != freqs.size:
+    if nbars.size != np.size(modes.frequencies):
         raise ContractViolation("need one nbar per mode")
-    if o.rabi.size not in (1, b.shape[0]):
-        raise ContractViolation("need one Rabi frequency, or one per ion")
-    alpha = odf_alpha(o, (freqs, b), np.arange(b.shape[0])[:, None])
-    acc = np.sum(np.abs(alpha)**2 * (2.0 * nbars + 1.0), axis=-1)
+    acc = np.sum(_odf_alpha2(o, modes) * (2.0 * nbars + 1.0), axis=-1)
     return 0.5 * (1.0 - np.exp(-2.0 * o.gamma_d * o.tau)
                   * np.exp(-2.0 * acc))
 
 
 def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
-                       ion_index=0, nbar_hi=200.0, tol=1e-4):
+                       ion_index=0, nbar_hi=200.0):
     """Invert one ODF spectrum point to the target-mode occupation.
 
-    The height-versus-nbar curve at fixed detuning is strictly
-    increasing, so Brent's method (brentq) inverts it to tol on
-    [0, nbar_hi]; other modes are held at the occupations given in
-    calibration (default 0).  mode_index defaults to the
-    highest-frequency (COM) mode.
+    The other modes hold the occupations given in calibration (default
+    0), so odf_signal's exponent is c + 2 |alpha_t|^2 nbar for target
+    mode t (default: the highest-frequency, COM, mode), and
+    nbar = (-1/2 ln((1 - 2 h) / e^(-2 gamma_d tau)) - c) / (2 |alpha_t|^2).
+    InversionRangeError when the height does not depend on nbar
+    (|alpha_t|^2 = 0 to rounding) or lies outside those of [0, nbar_hi].
     """
     if np.ndim(o.mu_r):
         raise ContractViolation("height inversion needs one detuning mu_r")
-    freqs = np.asarray(modes.frequencies, dtype=float)
+    a2 = _odf_alpha2(o, modes)[ion_index]
     if mode_index is None:
-        mode_index = int(np.argmax(freqs))
-    base = np.zeros(freqs.size)
-    if calibration is not None:
-        for m, v in dict(calibration).items():
-            base[int(m)] = v
-
-    def forward(nbar):
-        nb = base.copy()
-        nb[mode_index] = nbar
-        return odf_signal(o, modes, nb)[ion_index]
-
-    lo_val, hi_val = forward(0.0), forward(nbar_hi)
+        mode_index = int(np.argmax(modes.frequencies))
+    nb = np.zeros(a2.size)
+    for m, v in dict(calibration or {}).items():
+        nb[int(m)] = v
+    nb[mode_index] = 0.0
+    c, target = np.sum(a2 * (2.0 * nb + 1.0)), a2[mode_index]
+    background = np.exp(-2.0 * o.gamma_d * o.tau)
+    lo_val, hi_val = 0.5 * (1.0 - background * np.exp(
+        -2.0 * (c + 2.0 * target * np.array([0.0, nbar_hi]))))
+    if not hi_val > lo_val:
+        raise InversionRangeError(
+            f"mode {mode_index} does not displace ion {ion_index}")
     if not lo_val <= height <= hi_val:
         raise InversionRangeError(
             f"height {height:.4f} outside invertible range "
             f"[{lo_val:.4f}, {hi_val:.4f}]")
-    return brentq(lambda nbar: forward(nbar) - height, 0.0, nbar_hi,
-                  xtol=tol)
+    return float((-0.5 * np.log((1.0 - 2.0 * height) / background) - c)
+                 / (2.0 * target))
 
 
 def heating_rate_fit(delays, nbars, sigmas=None):

@@ -335,7 +335,7 @@ def test_criterion_10_property_suite():
     proj_up = np.kron(np.diag([1.0, 0.0]), np.eye(nf))
     t = np.linspace(0.25, 1.5, 4) * p.blue_pi_time()
     direct = np.array([np.real(np.trace(proj_up @ r.matrix))
-                       for r in evolve(sys_, rho0, t, method="rk45")])
+                       for r in evolve(sys_, rho0, t)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         avg = thermal_average(sideband_populations(p, "blue", t), nbar)

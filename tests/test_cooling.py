@@ -148,7 +148,7 @@ class TestSimulate:
         sys = LindbladSystem(h, cops, HilbertSpace((4 * nf,)))
         rho0 = doppler_initial_state(m, 0.5)
         t = np.array([2e-6])
-        ref = evolve(sys, rho0, t, method="rk45")[-1].matrix
+        ref = evolve(sys, rho0, t)[-1].matrix
         n_op = np.kron(np.eye(4), np.diag(np.arange(nf)))
         nbar_ref = np.real(np.trace(n_op @ ref))
         res = simulate_cooling(P, m, 0.5, t, heating=heating, dt=2e-9)

@@ -107,6 +107,22 @@ class TestModes:
             b = transverse_modes(c, moved).b_matrix
             assert np.abs(b - ref).max() < 1e-6
 
+    def test_degenerate_mode_basis_survives_rounding(self):
+        # in-plane rotational symmetry (omega_x = omega_z) gives exactly
+        # degenerate mode pairs; their vectors must not follow rounding
+        c = make(7, wx=0.42, wz=0.42)
+        pos = equilibrium_positions(c)
+        modes = transverse_modes(c, pos)
+        w2 = modes.frequencies**2
+        assert np.sum(np.diff(w2) < 1e-10 * w2[1:]) == 2
+        ref = modes.b_matrix
+        assert np.abs(ref.T @ ref - np.eye(7)).max() < 1e-12
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            moved = pos * (1.0 + 1e-12 * rng.standard_normal(pos.shape))
+            b = transverse_modes(c, moved).b_matrix
+            assert np.abs(b - ref).max() < 1e-9
+
     def test_nonequilibrium_positions_rejected(self):
         c = make(4)
         pos = equilibrium_positions(c)

@@ -6,7 +6,8 @@ import pytest
 from eitcool import spectrum, units
 from eitcool.atom4 import EitParams
 from eitcool.lindblad import (LindbladSystem, NonUniqueSteadyStateError,
-                              evolve, steadystate)
+                              SplitPropagator, evolve, run_intervals,
+                              steadystate)
 from eitcool.numerics import ContractViolation
 from eitcool.operators import DensityMatrix, HilbertSpace
 
@@ -131,16 +132,13 @@ class TestEvolution:
         sys = LindbladSystem(h, cops, HilbertSpace((n,)))
         rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
         t = np.array([0.4, 0.9])
-        r_rk = evolve(sys, rho0, t, method="rk45")
-        r_sp = evolve(sys, rho0, t, method="split", split_dt=2e-4)
+        r_rk = evolve(sys, rho0, t)
+        heff = sys.effective_hamiltonian()
+        r_sp, _ = run_intervals(
+            lambda dt: SplitPropagator(heff, dt, sys.collapse),
+            rho0.copy(), t, 2e-4, lambda r: r.copy())
         for a_, b_ in zip(r_rk, r_sp):
-            assert np.abs(a_.matrix - b_.matrix).max() < 1e-3
-
-    def test_unknown_method_rejected(self):
-        sys = two_level(1.0, 0.0, 1.0)
-        with pytest.raises(ContractViolation):
-            evolve(sys, np.eye(2, dtype=complex) / 2.0, [1.0],
-                   method="verlet")
+            assert np.abs(a_.matrix - b_).max() < 1e-3
 
 
 class TestSteadyState:
@@ -155,9 +153,8 @@ class TestSteadyState:
 
     def test_null_space_matches_long_time(self):
         sys = two_level(1.7, 0.4, 1.1)
-        a = steadystate(sys, method="null_space")
-        b = steadystate(sys, method="long_time",
-                        rho0=np.diag([1.0, 0.0]).astype(complex))
+        a = steadystate(sys)
+        b = evolve(sys, np.diag([1.0, 0.0]).astype(complex), [50.0])[-1]
         assert np.abs(a.matrix - b.matrix).max() < 1e-6
 
     def test_generator_annihilates_steady_state(self):
@@ -173,10 +170,6 @@ class TestSteadyState:
         sys = LindbladSystem(np.zeros((3, 3)), [c], HilbertSpace((3,)))
         with pytest.raises(NonUniqueSteadyStateError):
             steadystate(sys)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ContractViolation):
-            steadystate(two_level(1.0, 0.0, 1.0), method="power")
 
 
 class TestSpectrumSolves:

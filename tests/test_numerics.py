@@ -9,7 +9,7 @@ import pytest
 
 import eitcool
 from eitcool.numerics import (ContractViolation, DegenerateFitError,
-                              DegenerateOrderError, OdeSpec, StiffnessError,
+                              DegenerateOrderError, StiffnessError,
                               eig_hermitian, fit_least_squares, integrate_ode,
                               solve_cubic_real)
 
@@ -100,10 +100,10 @@ class TestEigHermitian:
 class TestIntegrateOde:
     def test_exponential_decay(self):
         k = 3.0
-        spec = OdeSpec(rhs=lambda y: -k * y, t_list=np.linspace(0, 2, 9),
-                       rel_tol=1e-10, abs_tol=1e-12)
-        out = integrate_ode(spec, np.array([1.0]))
-        exact = np.exp(-k * spec.t_list)
+        t = np.linspace(0, 2, 9)
+        out = integrate_ode(lambda y: -k * y, t, np.array([1.0]),
+                            rel_tol=1e-10, abs_tol=1e-12)
+        exact = np.exp(-k * t)
         assert np.abs(out[:, 0].real - exact).max() < 1e-8
 
     def test_harmonic_oscillator(self):
@@ -113,40 +113,56 @@ class TestIntegrateOde:
             return np.array([y[1], -w * w * y[0]])
 
         t = np.linspace(0, 3, 13)
-        out = integrate_ode(OdeSpec(rhs=rhs, t_list=t, rel_tol=1e-10,
-                                    abs_tol=1e-12), np.array([1.0, 0.0]))
+        out = integrate_ode(rhs, t, np.array([1.0, 0.0]), rel_tol=1e-10,
+                            abs_tol=1e-12)
         assert np.abs(out[:, 0].real - np.cos(w * t)).max() < 1e-6
 
     def test_complex_rotation(self):
-        spec = OdeSpec(rhs=lambda y: 1j * y, t_list=np.array([0.0, np.pi]))
-        out = integrate_ode(spec, np.array([1.0 + 0j]))
+        out = integrate_ode(lambda y: 1j * y, np.array([0.0, np.pi]),
+                            np.array([1.0 + 0j]))
         assert abs(out[-1, 0] + 1.0) < 1e-6
 
     def test_nonmonotone_times_rejected(self):
         with pytest.raises(ContractViolation):
-            OdeSpec(rhs=lambda y: y, t_list=np.array([0.0, 2.0, 1.0]))
+            integrate_ode(lambda y: y, np.array([0.0, 2.0, 1.0]),
+                          np.array([1.0]))
+
+    def test_nonpositive_tolerance_rejected(self):
+        for tols in ((0.0, 1e-10), (1e-8, -1e-10)):
+            with pytest.raises(ContractViolation):
+                integrate_ode(lambda y: y, np.array([0.0, 1.0]),
+                              np.array([1.0]), *tols)
 
     def test_nonfinite_initial_state_rejected(self):
-        spec = OdeSpec(rhs=lambda y: y, t_list=np.array([0.0, 1.0]))
         with pytest.raises(ContractViolation):
-            integrate_ode(spec, np.array([np.nan]))
+            integrate_ode(lambda y: y, np.array([0.0, 1.0]),
+                          np.array([np.nan]))
 
     def test_blow_up_raises_stiffness_with_last_time(self):
         # y' = y^2, y(0) = 1 is 1 / (1 - t): the step size underflows at 1
-        spec = OdeSpec(rhs=lambda y: y * y, t_list=[0.0, 2.0])
         with pytest.raises(StiffnessError) as info:
-            integrate_ode(spec, [1.0])
+            integrate_ode(lambda y: y * y, [0.0, 2.0], [1.0])
         assert abs(info.value.t_last - 1.0) < 1e-6
 
     def test_package_import_leaves_scipy_integrate_unloaded(self):
         # integrate_ode imports solve_ivp lazily to keep import eitcool light
-        src = os.path.dirname(os.path.dirname(eitcool.__file__))
-        code = ("import sys, eitcool; "
-                "print('scipy.integrate' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, timeout=60,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert not loads_scipy_integrate("eitcool")
+
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # the CLI's start-up cost is what `eitcool run` pays per preset
+        assert not loads_scipy_integrate("eitcool.cli")
+
+
+def loads_scipy_integrate(module):
+    """Whether importing module in a fresh interpreter loads
+    scipy.integrate."""
+    src = os.path.dirname(os.path.dirname(eitcool.__file__))
+    code = (f"import sys, {module}; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip() == "True"
 
 
 class TestFitLeastSquares:

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from eitcool import units
+from eitcool import thermometry, units
 from eitcool.cooling import MotionalMode, com_mode_for_crystal
 from eitcool.crystal import (CrystalConfig, equilibrium_positions,
                              transverse_modes)
@@ -238,7 +239,7 @@ class TestThermalAverage:
         proj_up = np.kron(np.diag([1.0, 0.0]), np.eye(nf))
         t = np.linspace(0.2, 1.0, 4) * p.blue_pi_time()
         direct = [np.real(np.trace(proj_up @ r.matrix))
-                  for r in evolve(sys, rho0, t, method="rk45")]
+                  for r in evolve(sys, rho0, t)]
         tab = sideband_populations(p, "blue", t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -400,6 +401,23 @@ def _odf_signal_loop(rabi, mu, tau, tau_pi, gamma_d, modes, nbars):
     return out
 
 
+def _height_to_nbar_brentq(height, o, modes, calibration, mode_index,
+                           ion_index, nbar_hi=200.0):
+    """Reference inversion: Brent's method on the forward signal, the
+    other modes held at calibration (tighter than its old 1e-4 xtol)."""
+    base = np.zeros(modes.frequencies.size)
+    for m, v in calibration.items():
+        base[m] = v
+
+    def forward(nbar):
+        nb = base.copy()
+        nb[mode_index] = nbar
+        return odf_signal(o, modes, nb)[ion_index]
+
+    return brentq(lambda nbar: forward(nbar) - height, 0.0, nbar_hi,
+                  xtol=1e-10)
+
+
 @pytest.fixture(scope="module")
 def fig4_odf():
     """fig4's 12-ion crystal with per-ion Rabi rates and 212 detunings.
@@ -507,6 +525,54 @@ class TestOdf:
                                  tau_pi=o.tau_pi, gamma_d=o.gamma_d),
                        modes, nbars) for mu in o.mu_r])
         assert np.array_equal(odf_signal(o, modes, nbars), want)
+
+    def test_height_inversion_matches_brentq_on_fig4_crystal(
+            self, fig4_odf, monkeypatch):
+        modes, o_all, _ = fig4_odf
+        calls = []
+        real = thermometry.odf_alpha
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(thermometry, "odf_alpha", counted)
+        f = modes.frequencies
+        calibration = {m: 0.05 * m for m in range(12)}
+        for mode_index, ion_index in ((11, 0), (11, 7), (0, 3), (5, 10)):
+            o = OdfParams(rabi=o_all.rabi,
+                          mu_r=f[mode_index] + 2.0 * np.pi * 0.37 / o_all.tau,
+                          tau=o_all.tau, tau_pi=o_all.tau_pi,
+                          gamma_d=o_all.gamma_d)
+            cal = {m: v for m, v in calibration.items() if m != mode_index}
+            for nbar in (0.0, 0.82, 9.97, 150.0):
+                nb = np.array([cal.get(m, nbar) for m in range(12)])
+                h = odf_signal(o, modes, nb)[ion_index]
+                want = _height_to_nbar_brentq(h, o, modes, cal, mode_index,
+                                              ion_index)
+                del calls[:]
+                got = odf_height_to_nbar(h, o, modes, calibration=cal,
+                                         mode_index=mode_index,
+                                         ion_index=ion_index)
+                assert len(calls) == 1
+                assert abs(got - want) < 1e-4
+                assert abs(got - nbar) < 1e-4
+
+    def test_height_needs_displaced_target(self, fig4_odf):
+        o = odf_at_phi(0.37, rabi_mhz=0.0)
+        with pytest.raises(InversionRangeError, match="does not displace"):
+            odf_height_to_nbar(0.0, o, ODF_MODE)
+        # ion 0 sits on a node of fig4's mode 1 (|b| ~ 1e-15 by symmetry),
+        # so its height carries no information on that mode
+        modes, o_all, _ = fig4_odf
+        assert abs(modes.b_matrix[0, 1]) < 1e-12
+        o = OdfParams(rabi=o_all.rabi,
+                      mu_r=modes.frequencies[1] + 2.0 * np.pi * 0.37
+                      / o_all.tau, tau=o_all.tau, tau_pi=o_all.tau_pi,
+                      gamma_d=o_all.gamma_d)
+        h = odf_signal(o, modes, np.zeros(12))[0]
+        with pytest.raises(InversionRangeError, match="does not displace"):
+            odf_height_to_nbar(h, o, modes, mode_index=1)
 
     def test_heating_rate_recovery(self):
         t = np.array([0.0, 5e-3, 10e-3, 20e-3])
