@@ -23,6 +23,7 @@ from .atom4 import EitParams
 from .cooling import (MotionalMode, detuning_scan, power_scan,
                       simulate_cooling)
 from .crystal import CrystalConfig, equilibrium_positions, transverse_modes
+from . import cooling as cooling_mod
 from . import crystal as crystal_mod
 from . import spectrum as spectrum_mod
 from . import stark as stark_mod
@@ -247,14 +248,13 @@ def _eit_params(p):
         p["delta_b_mhz"], p["gamma_mhz"])
 
 
-def _run_spectrum(cfg, out, jobs):
+def _run_spectrum(cfg, out):
     p = cfg.params
     ep = _eit_params(p)
     grid = units.mhz(np.linspace(p["grid_min_mhz"], p["grid_max_mhz"],
                                  p["n_points"]))
     ana = spectrum_mod.absorption_analytic(ep, grid)
-    num = spectrum_mod.absorption_numeric(ep, grid, jobs=jobs) \
-        if p["numeric"] else None
+    num = spectrum_mod.absorption_numeric(ep, grid) if p["numeric"] else None
     path = os.path.join(out, "spectrum.csv")
     _atomic_write(path, lambda tmp: spectrum_mod.write_csv(tmp, ana, num))
     if num is None or not num.failure_reasons:
@@ -266,7 +266,7 @@ def _run_spectrum(cfg, out, jobs):
     return [path, fpath]
 
 
-def _run_cool(cfg, out, jobs):
+def _run_cool(cfg, out):
     p = cfg.params
     ep = _eit_params(p)
     mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
@@ -295,7 +295,7 @@ def _run_cool(cfg, out, jobs):
     return [path, jpath]
 
 
-def _run_scan_detuning(cfg, out, jobs):
+def _run_scan_detuning(cfg, out):
     p = cfg.params
     ep = _eit_params(p)
     mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
@@ -304,8 +304,7 @@ def _run_scan_detuning(cfg, out, jobs):
                                    p["n_points"]))
     deltas, finals, argmin = detuning_scan(
         ep, mode, deltas, p["t_fix_us"] * 1e-6, nbar0=p["nbar0"],
-        heating=p["heating_quanta_per_ms"] * 1e3, dt=p["dt_ns"] * 1e-9,
-        jobs=jobs)
+        heating=p["heating_quanta_per_ms"] * 1e3, dt=p["dt_ns"] * 1e-9)
     path = os.path.join(out, "detuning_scan.csv")
     rows = [(float(units.to_mhz(d)), float(n),
              int(np.isfinite(n) and d == argmin))
@@ -315,7 +314,7 @@ def _run_scan_detuning(cfg, out, jobs):
     return [path]
 
 
-def _run_scan_power(cfg, out, jobs):
+def _run_scan_power(cfg, out):
     p = cfg.params
     if p["which"] not in ("drive", "probe"):
         raise ConfigError("params.which: must be 'drive' or 'probe'")
@@ -326,8 +325,7 @@ def _run_scan_power(cfg, out, jobs):
                       [float(v) for v in p["powers"]], nbar0=p["nbar0"],
                       heating=p["heating_quanta_per_ms"] * 1e3,
                       t_final=p["t_final_us"] * 1e-6,
-                      n_times=p["n_times"], dt=p["dt_ns"] * 1e-9,
-                      jobs=jobs)
+                      n_times=p["n_times"], dt=p["dt_ns"] * 1e-9)
     path = os.path.join(out, "power_scan.csv")
     _write_csv(path,
                ["power", "gamma_cool_per_s", "n_ss", "detuning_mhz",
@@ -339,7 +337,7 @@ def _run_scan_power(cfg, out, jobs):
     return [path]
 
 
-def _run_modes(cfg, out, jobs):
+def _run_modes(cfg, out):
     p = cfg.params
     c = CrystalConfig.from_mhz(p["n_ions"], p["omega_x_mhz"],
                                p["omega_y_mhz"], p["omega_z_mhz"],
@@ -351,7 +349,7 @@ def _run_modes(cfg, out, jobs):
     return [path]
 
 
-def _run_sideband(cfg, out, jobs):
+def _run_sideband(cfg, out):
     p = cfg.params
     mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
                                  b=None if p["n_spins"] == 1 else
@@ -371,7 +369,7 @@ def _run_sideband(cfg, out, jobs):
     return [path]
 
 
-def _run_odf(cfg, out, jobs):
+def _run_odf(cfg, out):
     p = cfg.params
     w = units.mhz(p["omega_m_mhz"])
     mode = crystal_mod.ModeDecomposition(
@@ -390,7 +388,7 @@ def _run_odf(cfg, out, jobs):
     return [path]
 
 
-def _run_stark(cfg, out, jobs):
+def _run_stark(cfg, out):
     p = cfg.params
     sp = stark_mod.StarkParams.from_mhz(
         p["omega_plus_mhz"], p["omega_minus_mhz"], p["omega_pi_mhz"],
@@ -471,23 +469,17 @@ def _load_config(config_path, overrides):
     return validate_config(apply_overrides(raw, overrides))
 
 
-def run(config_path, overrides=(), jobs=None):
-    """Execute one config; returns (exit_code, artifact_paths).
-
-    jobs caps the threads of the scan kinds' independent cooling runs;
-    None means one per CPU.
-    """
+def run(config_path, overrides=()):
+    """Execute one config; returns (exit_code, artifact_paths)."""
     t0 = time.monotonic()
     try:
-        if jobs is not None and jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         cfg = _load_config(config_path, overrides)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, []
     os.makedirs(cfg.output_dir, exist_ok=True)
     try:
-        artifacts = _RUNNERS[cfg.kind](cfg, cfg.output_dir, jobs)
+        artifacts = _RUNNERS[cfg.kind](cfg, cfg.output_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, []
@@ -504,6 +496,7 @@ def run(config_path, overrides=(), jobs=None):
         "walltime_s": time.monotonic() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "artifacts": [os.path.basename(a) for a in artifacts],
+        "scan_workers": cooling_mod._workers(),
     }
     mpath = os.path.join(cfg.output_dir, "manifest.json")
     _write_json(mpath, manifest)
@@ -521,10 +514,6 @@ def main(argv=None):
     p_run.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides",
                        help="override a config key")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="threads for the independent cooling runs of "
-                            "scan-detuning and scan-power (default: "
-                            "$EITCOOL_JOBS, else one per CPU)")
 
     sub.add_parser("list-presets", help="names of bundled presets")
 
@@ -546,15 +535,7 @@ def main(argv=None):
             return 1
         print("ok")
         return 0
-    jobs = args.jobs
-    if jobs is None and "EITCOOL_JOBS" in os.environ:
-        try:
-            jobs = int(os.environ["EITCOOL_JOBS"])
-        except ValueError:
-            print(f"error: EITCOOL_JOBS must be an integer, got "
-                  f"{os.environ['EITCOOL_JOBS']!r}", file=sys.stderr)
-            return 1
-    code, artifacts = run(args.config, args.overrides, jobs=jobs)
+    code, artifacts = run(args.config, args.overrides)
     for a in artifacts:
         print(a)
     return code

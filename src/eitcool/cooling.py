@@ -53,14 +53,13 @@ class MotionalMode:
             units.HBAR / (2.0 * self.mass * self.nu))
 
     @classmethod
-    def from_lab(cls, nu_mhz, mass_amu=units.YB171_MASS_AMU,
-                 wavelength_nm=units.YB171_S_P_WAVELENGTH_NM, n_max=None,
+    def from_lab(cls, nu_mhz, mass_amu=units.YB171_MASS_AMU, n_max=None,
                  nbar0=7.0, b=None):
-        nu = units.mhz(nu_mhz)
         if n_max is None:
             n_max = default_n_max(nbar0)
-        return cls(nu=nu, mass=mass_amu * units.AMU,
-                   k_mag=2.0 * np.pi / (wavelength_nm * 1e-9),
+        return cls(nu=units.mhz(nu_mhz), mass=mass_amu * units.AMU,
+                   k_mag=2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM
+                                        * 1e-9),
                    n_max=n_max, b=b)
 
 
@@ -237,29 +236,43 @@ def _fit_exponential(t, nbar, nbar0):
     return 1.0 / tau, tau, float(c), True
 
 
-def _cpu_count():
-    """CPUs this process may run on (all of them where that is unknown)."""
+def _workers():
+    """Scan runs that fit on this process's CPUs at once.
+
+    The CPUs this process may use (all of them where that is unknown)
+    divided by the BLAS threads each run takes.  Those are read as
+    OpenBLAS reads them at load: the first positive integer among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, capped
+    at the CPU count, or every CPU when none is set.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = min(value, cpus)
+            break
+    return cpus // threads
 
 
-def _cool_runs(params, m, t_list, nbar0, heating, dt, jobs):
+def _cool_runs(params, m, t_list, nbar0, heating, dt):
     """simulate_cooling at each of params on one thread pool, in order.
 
     The runs are independent and spend their time in matrix products
-    that release the GIL, so they run concurrently on min(jobs, runs)
-    workers; jobs None means one per CPU.  Each entry of the returned
-    list is the run's CoolingResult or the RuntimeError or LinAlgError it
-    raised.  Any other exception propagates, and the runs still queued
-    are cancelled.
+    that release the GIL, so they run concurrently on min(_workers(),
+    runs) threads.  Each entry of the returned list is the run's
+    CoolingResult or the RuntimeError or LinAlgError it raised.  Any
+    other exception propagates, and the runs still queued are cancelled.
     """
-    if jobs is None:
-        jobs = _cpu_count()
-    if jobs < 1:
-        raise ContractViolation(f"jobs must be >= 1, got {jobs}")
-    pool = ThreadPoolExecutor(max_workers=max(1, min(jobs, len(params))))
+    pool = ThreadPoolExecutor(max_workers=max(1, min(_workers(),
+                                                     len(params))))
     try:
         futures = [pool.submit(simulate_cooling, pi, m, nbar0, t_list,
                                heating=heating, dt=dt) for pi in params]
@@ -300,18 +313,16 @@ def _finals(outcomes):
     return finals
 
 
-def detuning_scan(p, m, deltas, t_fix, nbar0=7.0, heating=0.0, dt=4e-9,
-                  jobs=None):
+def detuning_scan(p, m, deltas, t_fix, nbar0=7.0, heating=0.0, dt=4e-9):
     """Final nbar at t_fix versus relative detuning delta_p - delta_d.
 
     Returns (deltas, nbar_final, argmin_delta); a point whose run raises
     a RuntimeError or LinAlgError carries NaN, and any other exception
     propagates.  Raises AllPointsFailedError when every point fails.
-    The points run on jobs threads (None: one per CPU).
     """
     deltas = np.asarray(deltas, dtype=float)
     finals = _finals(_cool_runs(_at_detunings(p, deltas), m, [t_fix],
-                                nbar0, heating, dt, jobs))
+                                nbar0, heating, dt))
     return deltas, finals, float(deltas[np.nanargmin(finals)])
 
 
@@ -320,24 +331,30 @@ def predicted_optimal_detuning(p, m):
     return p.delta_B + dressed_stark_shift(p) - m.nu
 
 
+COARSE_HALFWIDTH = units.mhz(0.8)
+N_COARSE = 5
+
+
 def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
-               t_final=150e-6, n_times=12, coarse_halfwidth=None,
-               n_coarse=5, dt=4e-9, jobs=None):
+               t_final=150e-6, n_times=12, dt=4e-9):
     """Cooling rate and limit versus beam power.
 
-    Rabi frequencies scale as sqrt(power).  At each point the relative
-    detuning is re-optimized on a coarse grid centered on the dressed
+    Rabi frequencies scale as sqrt(power), so each power must be finite
+    and >= 0.  At each point the relative detuning is re-optimized on
+    N_COARSE grid points within COARSE_HALFWIDTH of the dressed
     prediction; the row reports the fit of the grid run with the lowest
-    final nbar.  The grid runs of all powers share one task list on jobs
-    threads (None: one per CPU).  Returns a list of dicts with keys
-    power, gamma_cool, n_ss, detuning, failed; a row is marked failed
-    when its point raises a RuntimeError (every grid point failing
-    included) or LinAlgError.  Any other exception propagates.
+    final nbar.  The grid runs of all powers share one task list.
+    Returns a list of dicts with keys power, gamma_cool, n_ss, detuning,
+    failed; a row is marked failed when its point raises a RuntimeError
+    (every grid point failing included) or LinAlgError.  Any other
+    exception propagates.
     """
     if which not in ("drive", "probe"):
         raise ContractViolation("which must be 'drive' or 'probe'")
-    if coarse_halfwidth is None:
-        coarse_halfwidth = units.mhz(0.8)
+    for s in powers:
+        if not (np.isfinite(s) and s >= 0):
+            raise ContractViolation(
+                f"powers must be finite and >= 0, got {s!r}")
     rows, grids, tasks = [], [], []
     t_list = np.linspace(t_final / n_times, t_final, n_times)
     for s in powers:
@@ -358,12 +375,12 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
         else:
             try:
                 grid = predicted_optimal_detuning(pi, m) + np.linspace(
-                    -coarse_halfwidth, coarse_halfwidth, n_coarse)
+                    -COARSE_HALFWIDTH, COARSE_HALFWIDTH, N_COARSE)
                 tasks += _at_detunings(pi, grid)
             except (RuntimeError, np.linalg.LinAlgError):
                 row["failed"] = True
         grids.append(grid)
-    outcomes = _cool_runs(tasks, m, t_list, nbar0, heating, dt, jobs)
+    outcomes = _cool_runs(tasks, m, t_list, nbar0, heating, dt)
     start = 0
     for row, grid in zip(rows, grids):
         if grid is None:

@@ -33,7 +33,6 @@ class CrystalConfig:
     omega_x: float                 # rad/s (in-plane)
     omega_y: float                 # rad/s (transverse, out of plane)
     omega_z: float                 # rad/s (in-plane)
-    charge: float = units.ELEMENTARY_CHARGE
     seed: int = 0
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class CrystalConfig:
 
     @property
     def length_scale(self):
-        k = self.charge**2 / (4.0 * np.pi * units.EPSILON_0)
+        k = units.ELEMENTARY_CHARGE**2 / (4.0 * np.pi * units.EPSILON_0)
         return (k / (self.mass * self.omega_z**2))**(1.0 / 3.0)
 
 
@@ -187,7 +186,8 @@ def transverse_modes(c, positions):
             raise ContractViolation(
                 f"positions are not an equilibrium (|grad| = "
                 f"{np.abs(g).max():.3e})")
-    kq = c.charge**2 / (4.0 * np.pi * units.EPSILON_0 * c.mass)
+    kq = units.ELEMENTARY_CHARGE**2 / (4.0 * np.pi * units.EPSILON_0
+                                       * c.mass)
     K = np.full((n, n), 0.0)
     if n > 1:
         d = pos[:, None, :] - pos[None, :, :]

@@ -149,8 +149,10 @@ def run_intervals(make, rho, t_list, dt_target, sample):
     so every sample lands exactly on its time; make(dt) builds the
     propagator for a step, once per distinct step.  Returns the list of
     sample(rho) at each time and the largest trace correction of any
-    step.
+    step.  dt_target must be > 0.
     """
+    if not dt_target > 0:
+        raise ContractViolation(f"dt_target must be > 0, got {dt_target!r}")
     out, props, t = [], {}, 0.0
     for t_next in t_list:
         span = t_next - t

@@ -48,15 +48,14 @@ def absorption_analytic(p, grid):
     return _result(p, grid, 16.0 * num**2 / z)
 
 
-def absorption_numeric(p, grid, jobs=None):
+def absorption_numeric(p, grid):
     """Steady-state rho_ee versus swept probe detuning.
 
     Each grid point is an independent dim-4 null-space solve; a point
     whose solve fails numerically (RuntimeError, e.g. a non-unique
     steady state, or LinAlgError) is flagged in the result mask instead
     of being dropped, with repr(exc) kept in failure_reasons under its
-    index.  Any other exception propagates.  jobs is accepted and unused:
-    the small solves hold the GIL, so the points run in one loop.
+    index.  Any other exception propagates.
     """
     if p.omega_pi <= 0:
         raise ContractViolation("probe must be on (omega_pi > 0)")

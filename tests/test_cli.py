@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from eitcool import cli
+from eitcool import cli, cooling
 
 CHEAP_OVERRIDES = {
     "fig1b": ["params.n_points=12"],
@@ -76,6 +76,8 @@ class TestManifest:
         assert len(m["config_hash"]) == 64
         assert m["walltime_s"] >= 0.0
         assert "spectrum.csv" in m["artifacts"]
+        assert type(m["scan_workers"]) is int and m["scan_workers"] >= 1
+        assert m["scan_workers"] == cooling._workers()
 
     def test_cooling_fit_reports_solver_statistics(self, tmp_path):
         code, _ = cli.run("fig2b", CHEAP_OVERRIDES["fig2b"]
@@ -89,7 +91,6 @@ class TestManifest:
         assert 0.0 < fit["max_trace_correction"] < 1.0
 
     def test_cooling_fit_reports_raw_n_ss(self, tmp_path, monkeypatch):
-        from eitcool import cooling
         real = cooling._fit_exponential
 
         def negative_offset(*args):
@@ -195,41 +196,6 @@ class TestOverrides:
     def test_bad_pair_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.apply_overrides({}, ["numeric"])
-
-
-class TestJobs:
-    def test_malformed_env_fails_run_only(self, monkeypatch, capsys):
-        monkeypatch.setenv("EITCOOL_JOBS", "abc")
-        assert cli.main(["list-presets"]) == 0
-        assert cli.main(["run", "fig2e"]) == 1
-        assert "error: EITCOOL_JOBS" in capsys.readouterr().err
-
-    def test_nonpositive_jobs_rejected(self, tmp_path, capsys):
-        code, artifacts = cli.run(
-            "fig2e", CHEAP_OVERRIDES["fig2e"] + [f"output_dir={tmp_path}"],
-            jobs=0)
-        assert code == 1 and artifacts == []
-        assert "error: jobs" in capsys.readouterr().err
-        assert cli.main(["run", "fig2e", "--jobs", "0"]) == 1
-
-    def test_scan_kinds_pass_jobs_through(self, tmp_path, monkeypatch):
-        seen = []
-
-        def detuning(p, m, deltas, *args, jobs=None, **kwargs):
-            seen.append(jobs)
-            return deltas, np.ones(len(deltas)), deltas[0]
-
-        def power(*args, jobs=None, **kwargs):
-            seen.append(jobs)
-            return []
-
-        monkeypatch.setattr(cli, "detuning_scan", detuning)
-        monkeypatch.setattr(cli, "power_scan", power)
-        for name in ("fig2e", "fig3a"):
-            code, _ = cli.run(name, [f"output_dir={tmp_path / name}"],
-                              jobs=3)
-            assert code == 0
-        assert seen == [3, 3]
 
 
 class TestFailurePaths:

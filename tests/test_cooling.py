@@ -171,6 +171,12 @@ class TestSimulate:
         with pytest.raises(ContractViolation):
             simulate_cooling(P, m, 1.0, [2e-6, 1e-6])
 
+    @pytest.mark.parametrize("dt", [-4e-9, 0.0, np.nan])
+    def test_nonpositive_step_rejected(self, dt):
+        m = MotionalMode.from_lab(2.38, n_max=5)
+        with pytest.raises(ContractViolation, match="dt_target"):
+            simulate_cooling(P, m, 1.0, [1e-6], dt=dt)
+
     def test_samples_land_on_t_list(self):
         # 0.5 us is 62.5 steps of 8 ns: the steps are shortened to fit
         # whole steps into each interval, so every sample sits on its time
@@ -333,36 +339,53 @@ class TestScans:
         assert row["gamma_cool"] == res.gamma_cool
         assert row["n_ss"] == res.n_ss
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_power_scan_bad_power_rejected_before_any_run(self, bad,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(cooling, "simulate_cooling",
+                            lambda *a, **k: calls.append(1))
+        m = MotionalMode.from_lab(2.38, n_max=5)
+        with pytest.raises(ContractViolation, match=repr(bad)):
+            power_scan(P, m, "drive", [1.0, bad])
+        assert calls == []
+
     def test_power_scan_bad_beam_name(self):
         m = MotionalMode.from_lab(2.38, n_max=5)
         with pytest.raises(ContractViolation):
             power_scan(P, m, "repump", [1.0])
 
 
+def on_workers(monkeypatch, n):
+    monkeypatch.setattr(cooling, "_workers", lambda: n)
+
+
 class TestScanWorkers:
     M = MotionalMode.from_lab(2.38, n_max=8)
     GRID = units.mhz(np.array([2.6, 3.1, 3.6, 4.1, 4.6]))
 
-    def scan(self, jobs):
+    def scan(self, monkeypatch, workers):
+        on_workers(monkeypatch, workers)
         return detuning_scan(P, self.M, self.GRID, 2e-6, nbar0=1.0,
-                             dt=8e-9, jobs=jobs)
+                             dt=8e-9)
 
-    def test_detuning_scan_same_for_any_worker_count(self):
-        one, two = self.scan(1), self.scan(2)
+    def test_detuning_scan_same_for_any_worker_count(self, monkeypatch):
+        one, two = self.scan(monkeypatch, 1), self.scan(monkeypatch, 2)
         assert np.array_equal(one[1], two[1]) and one[2] == two[2]
 
-    def test_power_scan_same_for_any_worker_count(self):
-        def scan(jobs):
+    def test_power_scan_same_for_any_worker_count(self, monkeypatch):
+        def scan(workers):
+            on_workers(monkeypatch, workers)
             return power_scan(P, self.M, "probe", [0.0, 0.5, 1.0],
                               nbar0=1.0, heating=670.0, t_final=2e-6,
-                              n_times=4, dt=8e-9, jobs=jobs)
+                              n_times=4, dt=8e-9)
         one, two = scan(1), scan(2)
         np.testing.assert_equal(one, two)
         assert not any(r["failed"] for r in one)
         assert one[0]["gamma_cool"] == 0.0
 
     def test_failed_point_marks_only_its_index(self, monkeypatch):
-        _, ref, argmin = self.scan(1)
+        _, ref, argmin = self.scan(monkeypatch, 1)
         real, bad = cooling.simulate_cooling, P.delta_p - self.GRID[1]
 
         def flaky(p, *args, **kwargs):
@@ -371,7 +394,7 @@ class TestScanWorkers:
             return real(p, *args, **kwargs)
 
         monkeypatch.setattr(cooling, "simulate_cooling", flaky)
-        _, finals, got = self.scan(2)
+        _, finals, got = self.scan(monkeypatch, 2)
         assert np.isnan(finals).tolist() == [False, True, False, False,
                                               False]
         assert np.array_equal(np.delete(finals, 1), np.delete(ref, 1))
@@ -379,7 +402,8 @@ class TestScanWorkers:
 
     def test_failed_power_marks_only_its_row(self, monkeypatch):
         kw = dict(nbar0=1.0, t_final=2e-6, n_times=4, dt=8e-9)
-        good, = power_scan(P, self.M, "probe", [0.5], jobs=1, **kw)
+        on_workers(monkeypatch, 1)
+        good, = power_scan(P, self.M, "probe", [0.5], **kw)
         real, bad = cooling.simulate_cooling, P.omega_pi
 
         def flaky(p, *args, **kwargs):
@@ -388,7 +412,8 @@ class TestScanWorkers:
             return real(p, *args, **kwargs)
 
         monkeypatch.setattr(cooling, "simulate_cooling", flaky)
-        rows = power_scan(P, self.M, "probe", [0.5, 1.0], jobs=2, **kw)
+        on_workers(monkeypatch, 2)
+        rows = power_scan(P, self.M, "probe", [0.5, 1.0], **kw)
         assert rows[0] == good
         assert rows[1]["failed"] and np.isnan(rows[1]["n_ss"])
 
@@ -402,14 +427,36 @@ class TestScanWorkers:
             raise TypeError("programming error")
 
         monkeypatch.setattr(cooling, "simulate_cooling", slow_bug)
+        on_workers(monkeypatch, 2)
         grid = units.mhz(np.linspace(2.0, 5.0, 12))
         with pytest.raises(TypeError, match="programming error"):
-            detuning_scan(P, self.M, grid, 1e-7, jobs=2)
+            detuning_scan(P, self.M, grid, 1e-7)
         assert len(calls) < grid.size
 
-    def test_nonpositive_jobs_rejected(self):
-        with pytest.raises(ContractViolation):
-            self.scan(0)
+
+class TestWorkers:
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"GOTO_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"MKL_NUM_THREADS": "1"}, 1),
+    ])
+    def test_cpus_over_blas_threads(self, monkeypatch, env, workers):
+        monkeypatch.setattr(cooling.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3})
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cooling._workers() == workers
 
 
 class TestFitExponential:

@@ -84,12 +84,6 @@ class TestNumeric:
         assert np.all(num.values >= -1e-12)
         assert np.all(num.values <= 1.0 + 1e-12)
 
-    def test_jobs_parameter_gives_same_result(self):
-        grid = units.mhz(np.linspace(50.0, 62.0, 6))
-        a = absorption_numeric(P, grid, jobs=1)
-        b = absorption_numeric(P, grid, jobs=4)
-        assert np.abs(a.values - b.values).max() < 1e-12
-
     def test_failed_solve_is_flagged(self, monkeypatch):
         real = spectrum.steadystate
         bad = units.mhz(55.0)
@@ -101,7 +95,7 @@ class TestNumeric:
 
         monkeypatch.setattr(spectrum, "steadystate", flaky)
         grid = units.mhz(np.array([50.0, 55.0, 60.0]))
-        num = absorption_numeric(P, grid, jobs=2)
+        num = absorption_numeric(P, grid)
         assert num.failed.tolist() == [False, True, False]
         assert np.isnan(num.values[1])
         assert np.all(np.isfinite(num.values[[0, 2]]))
