@@ -1,9 +1,10 @@
 """Batch front end: declarative JSON experiment configs in, CSV/JSON out.
 
-One subcommand per task family; every run writes its artifacts
-atomically (temp file + rename) next to a manifest that echoes the fully
-resolved configuration, its hash, the toolkit version, and the wall
-time, so any output file can be traced back to an exact input.
+One subcommand per task family.  A runner only computes and returns its
+artifacts; `run` then writes them atomically (temp file + rename) next
+to a manifest that echoes the fully resolved configuration, its hash,
+the toolkit version, and the wall time, so any output file can be
+traced back to an exact input.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .atom4 import EitParams
 from .cooling import (MotionalMode, detuning_scan, power_scan,
                       simulate_cooling)
 from .crystal import CrystalConfig, equilibrium_positions, transverse_modes
+from .operators import TruncationWarning
 from . import cooling as cooling_mod
 from . import crystal as crystal_mod
 from . import spectrum as spectrum_mod
@@ -36,7 +38,8 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# per-kind parameter schema: key -> (type, default)
+# per-kind parameter schema: key -> (type, default); a tuple type lists
+# the values a choice-valued key may take
 _EIT_KEYS = {
     "omega_sigma_plus_mhz": (float, _REQUIRED),
     "omega_sigma_minus_mhz": (float, _REQUIRED),
@@ -45,6 +48,15 @@ _EIT_KEYS = {
     "delta_p_mhz": (float, _REQUIRED),
     "delta_b_mhz": (float, _REQUIRED),
     "gamma_mhz": (float, units.YB171_GAMMA_MHZ),
+}
+
+# shared by the three cooling kinds, which also take dt_ns
+_COOL_KEYS = {
+    **_EIT_KEYS,
+    "nu_mhz": (float, _REQUIRED),
+    "nbar0": (float, 7.0),
+    "heating_quanta_per_ms": (float, 0.0),
+    "n_max": (int, 25),
 }
 
 SCHEMAS = {
@@ -56,37 +68,25 @@ SCHEMAS = {
         "numeric": (bool, True),
     },
     "cool": {
-        **_EIT_KEYS,
-        "nu_mhz": (float, _REQUIRED),
-        "nbar0": (float, 7.0),
-        "heating_quanta_per_ms": (float, 0.0),
+        **_COOL_KEYS,
         "t_final_us": (float, 150.0),
         "n_times": (int, 12),
-        "n_max": (int, 25),
         "dt_ns": (float, 2.0),
     },
     "scan-detuning": {
-        **_EIT_KEYS,
-        "nu_mhz": (float, _REQUIRED),
+        **_COOL_KEYS,
         "scan_min_mhz": (float, _REQUIRED),
         "scan_max_mhz": (float, _REQUIRED),
         "n_points": (int, 25),
         "t_fix_us": (float, 150.0),
-        "nbar0": (float, 7.0),
-        "heating_quanta_per_ms": (float, 0.0),
-        "n_max": (int, 25),
         "dt_ns": (float, 4.0),
     },
     "scan-power": {
-        **_EIT_KEYS,
-        "nu_mhz": (float, _REQUIRED),
-        "which": (str, _REQUIRED),
+        **_COOL_KEYS,
+        "which": (("drive", "probe"), _REQUIRED),
         "powers": (list, _REQUIRED),
-        "nbar0": (float, 7.0),
-        "heating_quanta_per_ms": (float, 0.0),
         "t_final_us": (float, 150.0),
         "n_times": (int, 12),
-        "n_max": (int, 25),
         "dt_ns": (float, 4.0),
     },
     "modes": {
@@ -99,7 +99,7 @@ SCHEMAS = {
     "sideband": {
         "nu_mhz": (float, _REQUIRED),
         "rabi_mhz": (float, _REQUIRED),
-        "side": (str, "blue"),
+        "side": (("red", "blue"), "blue"),
         "n_spins": (int, 1),
         "nbar": (float, 0.06),
         "n_max": (int, 30),
@@ -135,6 +135,15 @@ SCHEMAS = {
 }
 
 
+# value checks on resolved params: key -> (predicate, requirement)
+_CHECKS = {
+    "dt_ns": (lambda v: v > 0, "must be > 0"),
+    "powers": (lambda v: all(type(x) in (int, float) and 0 <= x < np.inf
+                             for x in v),
+               "entries must be finite numbers >= 0"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -144,14 +153,17 @@ class ExperimentConfig:
 
 
 def _coerce(key, value, typ):
+    if isinstance(typ, tuple):
+        if value in typ:
+            return value
+        raise ConfigError(
+            f"params.{key}: must be one of {list(typ)}, got {value!r}")
     if typ is float and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
         return float(value)
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if typ is bool and isinstance(value, bool):
-        return value
-    if typ is str and isinstance(value, str):
         return value
     if typ is list and isinstance(value, list):
         return value
@@ -187,6 +199,10 @@ def validate_config(raw):
             raise ConfigError(f"params.{key}: required for kind {kind!r}")
         else:
             resolved[key] = default
+    for key, (check, requirement) in _CHECKS.items():
+        if key in resolved and not check(resolved[key]):
+            raise ConfigError(
+                f"params.{key}: {requirement}, got {resolved[key]!r}")
     out_dir = raw.get("output_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("output_dir: must be a string")
@@ -215,30 +231,23 @@ def apply_overrides(raw, pairs):
     return raw
 
 
-def _atomic_write(path, write):
-    """write(tmp) fills a temp file, renamed onto path once complete."""
+def _write_artifact(path, content):
+    """Write one artifact to a temp file, renamed onto path once complete.
+
+    A .csv name takes (header, rows) of Python numbers and strings (a
+    float is written as its repr); any other name takes a
+    JSON-serialisable object, written with sorted keys.
+    """
     tmp = path + ".tmp"
-    write(tmp)
-    os.replace(tmp, path)
-
-
-def _write_csv(path, header, rows):
-    def w(tmp):
-        with open(tmp, "w", newline="") as fh:
+    with open(tmp, "w", newline="") as fh:
+        if path.endswith(".csv"):
+            header, rows = content
             wr = csv.writer(fh)
             wr.writerow(header)
-            for row in rows:
-                wr.writerow([repr(float(v))
-                             if isinstance(v, (float, np.floating))
-                             else v for v in row])
-    _atomic_write(path, w)
-
-
-def _write_json(path, obj):
-    def w(tmp):
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-    _atomic_write(path, w)
+            wr.writerows(rows)
+        else:
+            json.dump(content, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def _eit_params(p):
@@ -248,108 +257,111 @@ def _eit_params(p):
         p["delta_b_mhz"], p["gamma_mhz"])
 
 
-def _run_spectrum(cfg, out):
+def _cooling_inputs(p):
+    """EIT parameters, mode and SI keywords shared by the cooling kinds."""
+    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
+                                 nbar0=p["nbar0"])
+    return _eit_params(p), mode, {
+        "nbar0": p["nbar0"], "heating": p["heating_quanta_per_ms"] * 1e3,
+        "dt": p["dt_ns"] * 1e-9}
+
+
+def _run_spectrum(cfg):
     p = cfg.params
     ep = _eit_params(p)
     grid = units.mhz(np.linspace(p["grid_min_mhz"], p["grid_max_mhz"],
                                  p["n_points"]))
     ana = spectrum_mod.absorption_analytic(ep, grid)
     num = spectrum_mod.absorption_numeric(ep, grid) if p["numeric"] else None
-    path = os.path.join(out, "spectrum.csv")
-    _atomic_write(path, lambda tmp: spectrum_mod.write_csv(tmp, ana, num))
-    if num is None or not num.failure_reasons:
-        return [path]
-    fpath = os.path.join(out, "failures.json")
-    _write_json(fpath, [
-        {"index": i, "delta_pi_MHz": float(units.to_mhz(grid[i])),
-         "error": reason} for i, reason in num.failure_reasons.items()])
-    return [path, fpath]
+    out = {"spectrum.csv": (
+        ["delta_pi_MHz", "W_analytic", "rho_ee_numeric"],
+        [(float(units.to_mhz(d)), float(w),
+          "" if num is None else float(num.values[i]))
+         for i, (d, w) in enumerate(zip(grid, ana.values))])}
+    if num is not None and num.failure_reasons:
+        out["failures.json"] = [
+            {"index": i, "delta_pi_MHz": float(units.to_mhz(grid[i])),
+             "error": reason} for i, reason in num.failure_reasons.items()]
+    return out
 
 
-def _run_cool(cfg, out):
+def _run_cool(cfg):
     p = cfg.params
-    ep = _eit_params(p)
-    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
-                                 nbar0=p["nbar0"])
+    ep, mode, kw = _cooling_inputs(p)
     t_list = np.linspace(p["t_final_us"] / p["n_times"], p["t_final_us"],
                          p["n_times"]) * 1e-6
-    res = simulate_cooling(ep, mode, p["nbar0"], t_list,
-                           heating=p["heating_quanta_per_ms"] * 1e3,
-                           dt=p["dt_ns"] * 1e-9)
-    path = os.path.join(out, "cooling.csv")
-    _write_csv(path, ["t_us", "nbar"],
-               [(float(t * 1e6), float(n))
-                for t, n in zip(res.times, res.nbar)])
-    jpath = os.path.join(out, "cooling_fit.json")
-    _write_json(jpath, {
-        "gamma_cool_per_s": res.gamma_cool,
-        "tau_cool_us": res.tau_cool * 1e6,
-        "n_ss": res.n_ss,
-        "n_ss_raw": res.n_ss_raw,
-        "n_ss_clamped": res.n_ss != res.n_ss_raw,
-        "fit_converged": res.fit_converged,
-        "truncation_flagged": res.truncation_flagged,
-        "top_fock_population": res.top_fock_population,
-        "max_trace_correction": res.max_trace_correction,
-    })
-    return [path, jpath]
+    res = simulate_cooling(ep, mode, t_list=t_list, **kw)
+    return {
+        "cooling.csv": (["t_us", "nbar"],
+                        [(float(t * 1e6), float(n))
+                         for t, n in zip(res.times, res.nbar)]),
+        "cooling_fit.json": {
+            "gamma_cool_per_s": res.gamma_cool,
+            "tau_cool_us": res.tau_cool * 1e6,
+            "n_ss": res.n_ss,
+            "n_ss_raw": res.n_ss_raw,
+            "n_ss_clamped": res.n_ss != res.n_ss_raw,
+            "fit_converged": res.fit_converged,
+            "truncation_flagged": res.truncation_flagged,
+            "top_fock_population": res.top_fock_population,
+            "max_trace_correction": res.max_trace_correction,
+        },
+    }
 
 
-def _run_scan_detuning(cfg, out):
+def _run_scan_detuning(cfg):
     p = cfg.params
-    ep = _eit_params(p)
-    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
-                                 nbar0=p["nbar0"])
+    ep, mode, kw = _cooling_inputs(p)
     deltas = units.mhz(np.linspace(p["scan_min_mhz"], p["scan_max_mhz"],
                                    p["n_points"]))
-    deltas, finals, argmin = detuning_scan(
-        ep, mode, deltas, p["t_fix_us"] * 1e-6, nbar0=p["nbar0"],
-        heating=p["heating_quanta_per_ms"] * 1e3, dt=p["dt_ns"] * 1e-9)
-    path = os.path.join(out, "detuning_scan.csv")
-    rows = [(float(units.to_mhz(d)), float(n),
-             int(np.isfinite(n) and d == argmin))
-            for d, n in zip(deltas, finals)]
-    _write_csv(path, ["relative_detuning_mhz", "nbar_final", "is_argmin"],
-               rows)
-    return [path]
+    deltas, finals, argmin = detuning_scan(ep, mode, deltas,
+                                           p["t_fix_us"] * 1e-6, **kw)
+    return {"detuning_scan.csv": (
+        ["relative_detuning_mhz", "nbar_final", "is_argmin"],
+        [(float(units.to_mhz(d)), float(n),
+          int(np.isfinite(n) and d == argmin))
+         for d, n in zip(deltas, finals)])}
 
 
-def _run_scan_power(cfg, out):
+def _run_scan_power(cfg):
     p = cfg.params
-    if p["which"] not in ("drive", "probe"):
-        raise ConfigError("params.which: must be 'drive' or 'probe'")
-    ep = _eit_params(p)
-    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
-                                 nbar0=p["nbar0"])
-    rows = power_scan(ep, mode, p["which"],
-                      [float(v) for v in p["powers"]], nbar0=p["nbar0"],
-                      heating=p["heating_quanta_per_ms"] * 1e3,
+    ep, mode, kw = _cooling_inputs(p)
+    rows = power_scan(ep, mode, p["which"], p["powers"],
                       t_final=p["t_final_us"] * 1e-6,
-                      n_times=p["n_times"], dt=p["dt_ns"] * 1e-9)
-    path = os.path.join(out, "power_scan.csv")
-    _write_csv(path,
-               ["power", "gamma_cool_per_s", "n_ss", "detuning_mhz",
-                "failed"],
-               [(r["power"], float(r["gamma_cool"]), float(r["n_ss"]),
-                 float(units.to_mhz(r["detuning"]))
-                 if np.isfinite(r["detuning"]) else float("nan"),
-                 int(r["failed"])) for r in rows])
-    return [path]
+                      n_times=p["n_times"], **kw)
+    return {"power_scan.csv": (
+        ["power", "gamma_cool_per_s", "n_ss", "detuning_mhz", "failed"],
+        [(r["power"], float(r["gamma_cool"]), float(r["n_ss"]),
+          float(units.to_mhz(r["detuning"]))
+          if np.isfinite(r["detuning"]) else float("nan"),
+          int(r["failed"])) for r in rows])}
 
 
-def _run_modes(cfg, out):
+def _run_modes(cfg):
     p = cfg.params
     c = CrystalConfig.from_mhz(p["n_ions"], p["omega_x_mhz"],
                                p["omega_y_mhz"], p["omega_z_mhz"],
                                mass_amu=p["mass_amu"], seed=cfg.seed)
-    pos = equilibrium_positions(c)
-    modes = transverse_modes(c, pos)
-    path = os.path.join(out, "modes.json")
-    _atomic_write(path, lambda tmp: crystal_mod.write_json(tmp, c, modes))
-    return [path]
+    modes = transverse_modes(c, equilibrium_positions(c))
+    return {"modes.json": {
+        "n_ions": c.n_ions,
+        "seed": c.seed,
+        "constants": {
+            "epsilon_0": units.EPSILON_0,
+            "elementary_charge": units.ELEMENTARY_CHARGE,
+            "amu": units.AMU,
+        },
+        "trap_mhz": {k: units.to_mhz(getattr(c, k))
+                     for k in ("omega_x", "omega_y", "omega_z")},
+        "mass_kg": c.mass,
+        "positions_um": (modes.positions * 1e6).tolist(),
+        "mode_frequencies_mhz": [float(units.to_mhz(f))
+                                 for f in modes.frequencies],
+        "participation_matrix": modes.b_matrix.tolist(),
+    }}
 
 
-def _run_sideband(cfg, out):
+def _run_sideband(cfg):
     p = cfg.params
     mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
                                  b=None if p["n_spins"] == 1 else
@@ -361,15 +373,14 @@ def _run_sideband(cfg, out):
     t = np.linspace(0.0, p["t_max_us"] * 1e-6, p["n_points"])
     table = thermo_mod.sideband_populations(sp, p["side"], t)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", TruncationWarning)
         trace = thermo_mod.thermal_average(table, p["nbar"])
-    path = os.path.join(out, "sideband.csv")
-    _write_csv(path, ["t_us", "P_up"],
-               [(float(ti * 1e6), float(v)) for ti, v in zip(t, trace)])
-    return [path]
+    return {"sideband.csv": (
+        ["t_us", "P_up"],
+        [(float(ti * 1e6), float(v)) for ti, v in zip(t, trace)])}
 
 
-def _run_odf(cfg, out):
+def _run_odf(cfg):
     p = cfg.params
     w = units.mhz(p["omega_m_mhz"])
     mode = crystal_mod.ModeDecomposition(
@@ -381,14 +392,13 @@ def _run_odf(cfg, out):
         rabi=units.mhz(p["rabi_mhz"]), mu_r=w + 2.0 * np.pi * phis / tau,
         tau=tau, tau_pi=p["tau_pi_us"] * 1e-6, gamma_d=p["gamma_d"])
     pu = thermo_mod.odf_signal(o, mode, [p["nbar"]])[:, 0]
-    path = os.path.join(out, "odf_spectrum.csv")
-    _write_csv(path, ["phi_over_2pi", "mu_R_MHz", "P_up"],
-               zip(phis.tolist(), units.to_mhz(o.mu_r).tolist(),
-                   pu.tolist()))
-    return [path]
+    return {"odf_spectrum.csv": (
+        ["phi_over_2pi", "mu_R_MHz", "P_up"],
+        list(zip(phis.tolist(), units.to_mhz(o.mu_r).tolist(),
+                 pu.tolist())))}
 
 
-def _run_stark(cfg, out):
+def _run_stark(cfg):
     p = cfg.params
     sp = stark_mod.StarkParams.from_mhz(
         p["omega_plus_mhz"], p["omega_minus_mhz"], p["omega_pi_mhz"],
@@ -397,30 +407,39 @@ def _run_stark(cfg, out):
         gamma_zeeman=p["gamma_zeeman"])
     t = np.linspace(0.0, p["t_max_us"] * 1e-6, p["n_points"])
     traces = [stark_mod.ramsey_signal(sp, q, t) for q in stark_mod.QUBITS]
-    path = os.path.join(out, "ramsey.csv")
-    _write_csv(path, ["t_us", "P_clock", "P_zeeman_plus", "P_zeeman_minus"],
-               [(float(ti * 1e6), float(a), float(b), float(c))
-                for ti, a, b, c in zip(t, *traces)])
-    artifacts = [path]
-    jpath = os.path.join(out, "stark_shifts.json")
-    _write_json(jpath, {
-        "clock_shift_mhz": units.to_mhz(stark_mod.clock_shift(sp)),
-        "zeeman_plus_shift_mhz":
-            units.to_mhz(stark_mod.zeeman_shift(sp, +1)),
-        "zeeman_minus_shift_mhz":
-            units.to_mhz(stark_mod.zeeman_shift(sp, -1)),
-    })
-    artifacts.append(jpath)
+    out = {
+        "ramsey.csv": (
+            ["t_us", "P_clock", "P_zeeman_plus", "P_zeeman_minus"],
+            [(float(ti * 1e6), float(a), float(b), float(c))
+             for ti, a, b, c in zip(t, *traces)]),
+        "stark_shifts.json": {
+            "clock_shift_mhz": units.to_mhz(stark_mod.clock_shift(sp)),
+            "zeeman_plus_shift_mhz":
+                units.to_mhz(stark_mod.zeeman_shift(sp, +1)),
+            "zeeman_minus_shift_mhz":
+                units.to_mhz(stark_mod.zeeman_shift(sp, -1)),
+        },
+    }
     if p["fit"]:
         guess = sp.replace(omega_plus=sp.omega_plus * 1.1,
                            omega_minus=sp.omega_minus * 0.9,
                            omega_pi=sp.omega_pi * 1.05)
         fr = stark_mod.fit_rabi_components(
             [(t, y) for y in traces], guess)
-        fpath = os.path.join(out, "stark_fit.json")
-        _atomic_write(fpath, lambda tmp: stark_mod.write_json(tmp, fr, sp))
-        artifacts.append(fpath)
-    return artifacts
+        out["stark_fit.json"] = {
+            "omega_plus_mhz": float(units.to_mhz(fr.params[0])),
+            "omega_minus_mhz": float(units.to_mhz(fr.params[1])),
+            "omega_pi_mhz": float(units.to_mhz(fr.params[2])),
+            "sigma_mhz": [float(units.to_mhz(s)) for s in fr.sigma],
+            "converged": bool(fr.converged),
+            "wide_sigma": bool(fr.wide_sigma),
+            "b_field_alignment": float(
+                stark_mod.b_field_alignment(fr.params)),
+            "delta_mhz": float(units.to_mhz(sp.delta)),
+            "delta_p_mhz": float(units.to_mhz(sp.delta_p)),
+            "delta_s_mhz": float(units.to_mhz(sp.delta_s)),
+        }
+    return out
 
 
 _RUNNERS = {
@@ -433,13 +452,6 @@ _RUNNERS = {
     "odf": _run_odf,
     "stark": _run_stark,
 }
-
-
-def _config_hash(cfg):
-    blob = json.dumps({"kind": cfg.kind, "params": cfg.params,
-                       "output_dir": cfg.output_dir, "seed": cfg.seed},
-                      sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def preset_dir():
@@ -463,44 +475,50 @@ def resolve_config_path(path):
 
 
 def _load_config(config_path, overrides):
-    """Open, parse, override and validate one config."""
-    with open(resolve_config_path(config_path)) as fh:
-        raw = json.load(fh)
-    return validate_config(apply_overrides(raw, overrides))
+    """Open, parse, override and validate one config; None, with the
+    reason on stderr, when any of that fails."""
+    try:
+        with open(resolve_config_path(config_path)) as fh:
+            raw = json.load(fh)
+        return validate_config(apply_overrides(raw, overrides))
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def run(config_path, overrides=()):
-    """Execute one config; returns (exit_code, artifact_paths)."""
+    """Execute one config; returns (exit_code, artifact_paths).
+
+    Nothing is written unless the runner returns: a config error exits 1
+    and a numerical failure exits 2, both with no artifacts.
+    """
     t0 = time.monotonic()
-    try:
-        cfg = _load_config(config_path, overrides)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg = _load_config(config_path, overrides)
+    if cfg is None:
         return 1, []
-    os.makedirs(cfg.output_dir, exist_ok=True)
     try:
-        artifacts = _RUNNERS[cfg.kind](cfg, cfg.output_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1, []
+        artifacts = _RUNNERS[cfg.kind](cfg)
     except Exception as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2, []
-    manifest = {
+    config = asdict(cfg)
+    artifacts["manifest.json"] = {
         "version": __version__,
         "kind": cfg.kind,
-        "config": {"kind": cfg.kind, "params": cfg.params,
-                   "output_dir": cfg.output_dir, "seed": cfg.seed},
-        "config_hash": _config_hash(cfg),
+        "config": config,
+        "config_hash": hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "walltime_s": time.monotonic() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": list(artifacts),
         "scan_workers": cooling_mod._workers(),
     }
-    mpath = os.path.join(cfg.output_dir, "manifest.json")
-    _write_json(mpath, manifest)
-    return 0, artifacts + [mpath]
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    paths = [os.path.join(cfg.output_dir, name) for name in artifacts]
+    for path, content in zip(paths, artifacts.values()):
+        _write_artifact(path, content)
+    return 0, paths
 
 
 def main(argv=None):
@@ -509,18 +527,17 @@ def main(argv=None):
         description="Double-EIT cooling simulation and analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute an experiment config")
-    p_run.add_argument("config", help="config file path or preset name")
-    p_run.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE", dest="overrides",
-                       help="override a config key")
-
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("config",
+                             help="config file path or preset name")
+    config_args.add_argument("--set", action="append", default=[],
+                             metavar="KEY=VALUE", dest="overrides",
+                             help="override a config key")
+    sub.add_parser("run", parents=[config_args],
+                   help="execute an experiment config")
     sub.add_parser("list-presets", help="names of bundled presets")
-
-    p_val = sub.add_parser("validate", help="validate a config only")
-    p_val.add_argument("config", help="config file path or preset name")
-    p_val.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE", dest="overrides")
+    sub.add_parser("validate", parents=[config_args],
+                   help="validate a config only")
 
     args = parser.parse_args(argv)
     if args.command == "list-presets":
@@ -528,10 +545,7 @@ def main(argv=None):
             print(name)
         return 0
     if args.command == "validate":
-        try:
-            _load_config(args.config, args.overrides)
-        except (ConfigError, json.JSONDecodeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        if _load_config(args.config, args.overrides) is None:
             return 1
         print("ok")
         return 0

@@ -6,7 +6,6 @@ transverse Hessian rather than assumed.  Lengths are scaled by
 l = (q^2 / (4 pi eps0 M wz^2))^(1/3) internally.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,28 +218,3 @@ def transverse_modes(c, positions):
     return ModeDecomposition(frequencies=np.sqrt(w2), b_matrix=b,
                              positions=pos,
                              hessian_trace=float(np.trace(K).real))
-
-
-def write_json(path, c, modes):
-    """JSON artifact: positions in um, mode table in MHz, constants echoed."""
-    out = {
-        "n_ions": c.n_ions,
-        "seed": c.seed,
-        "constants": {
-            "epsilon_0": units.EPSILON_0,
-            "elementary_charge": units.ELEMENTARY_CHARGE,
-            "amu": units.AMU,
-        },
-        "trap_mhz": {
-            "omega_x": units.to_mhz(c.omega_x),
-            "omega_y": units.to_mhz(c.omega_y),
-            "omega_z": units.to_mhz(c.omega_z),
-        },
-        "mass_kg": c.mass,
-        "positions_um": (modes.positions * 1e6).tolist(),
-        "mode_frequencies_mhz": [float(units.to_mhz(f))
-                                 for f in modes.frequencies],
-        "participation_matrix": modes.b_matrix.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)

@@ -6,12 +6,10 @@ master equation, plus extraction of the null points and the three
 bright-resonance peaks.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import units
 from .atom4 import (collapse_ops, dressed_cubic_coeffs, dressed_stark_shift,
                     hamiltonian_rest)
 from .lindblad import LindbladSystem, steadystate
@@ -111,14 +109,3 @@ def _result(p, grid, values, **kw):
         annotations={"carrier": p.delta_d + p.delta_B,
                      "cooling_peak": br.cooling_peak,
                      "stark_shift": dressed_stark_shift(p)}, **kw)
-
-
-def write_csv(path, analytic, numeric=None):
-    """CSV columns: delta_pi_MHz, W_analytic, rho_ee_numeric."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["delta_pi_MHz", "W_analytic", "rho_ee_numeric"])
-        for i, d in enumerate(analytic.detunings):
-            num = "" if numeric is None else repr(float(numeric.values[i]))
-            wr.writerow([repr(float(units.to_mhz(d))),
-                         repr(float(analytic.values[i])), num])

@@ -7,7 +7,6 @@ measured Ramsey data.  Any constant prefactor of the shift formulas is
 absorbed into the fitted Rabi scale.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -319,21 +318,3 @@ def b_field_alignment(params):
     if denom == 0:
         raise ContractViolation("sigma components are both zero")
     return opi / denom
-
-
-def write_json(path, fit, p):
-    """Fitted components in MHz with 1-sigma, plus the alignment metric."""
-    out = {
-        "omega_plus_mhz": float(units.to_mhz(fit.params[0])),
-        "omega_minus_mhz": float(units.to_mhz(fit.params[1])),
-        "omega_pi_mhz": float(units.to_mhz(fit.params[2])),
-        "sigma_mhz": [float(units.to_mhz(s)) for s in fit.sigma],
-        "converged": bool(fit.converged),
-        "wide_sigma": bool(getattr(fit, "wide_sigma", False)),
-        "b_field_alignment": float(b_field_alignment(fit.params)),
-        "delta_mhz": float(units.to_mhz(p.delta)),
-        "delta_p_mhz": float(units.to_mhz(p.delta_p)),
-        "delta_s_mhz": float(units.to_mhz(p.delta_s)),
-    }
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)

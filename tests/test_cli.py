@@ -1,12 +1,13 @@
 """Batch CLI: config validation, artifact generation, exit codes."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from eitcool import cli, cooling
+from eitcool import cli, cooling, stark
 
 CHEAP_OVERRIDES = {
     "fig1b": ["params.n_points=12"],
@@ -117,6 +118,59 @@ class TestManifest:
         assert blobs[0] == blobs[1]
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestArtifacts:
+    def test_spectrum_csv_columns_and_length(self, tmp_path):
+        code, _ = cli.run("fig5", ["params.grid_min_mhz=40",
+                                   "params.grid_max_mhz=70",
+                                   "params.n_points=12",
+                                   f"output_dir={tmp_path}"])
+        assert code == 0
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert rows[0] == ["delta_pi_MHz", "W_analytic", "rho_ee_numeric"]
+        assert len(rows) == 13
+        first = [float(v) for v in rows[1]]
+        assert abs(first[0] - 40.0) < 1e-9
+
+    def test_spectrum_csv_analytic_only(self, tmp_path):
+        code, _ = cli.run("fig5", ["params.grid_min_mhz=40",
+                                   "params.grid_max_mhz=70",
+                                   "params.n_points=5", "params.numeric=false",
+                                   f"output_dir={tmp_path}"])
+        assert code == 0
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert all(row[2] == "" for row in rows[1:])
+
+    def test_modes_json_roundtrip(self, tmp_path):
+        code, _ = cli.run("fig4", ["params.n_ions=3",
+                                   f"output_dir={tmp_path}"])
+        assert code == 0
+        with open(tmp_path / "modes.json") as fh:
+            data = json.load(fh)
+        assert data["n_ions"] == 3
+        assert len(data["mode_frequencies_mhz"]) == 3
+        assert abs(max(data["mode_frequencies_mhz"]) - 1.22) < 1e-6
+        assert len(data["positions_um"]) == 3
+        for name in ("modes.json", "manifest.json"):
+            with open(tmp_path / name) as fh:
+                keys = list(json.load(fh))
+            assert keys == sorted(keys)
+
+    def test_stark_fit_json(self, tmp_path):
+        code, _ = cli.run("appendixE-drive", [f"output_dir={tmp_path}"])
+        assert code == 0
+        with open(tmp_path / "stark_fit.json") as fh:
+            data = json.load(fh)
+        assert abs(data["omega_plus_mhz"] - 18.03) < 0.01
+        assert abs(data["omega_minus_mhz"] - 16.74) < 0.01
+        assert abs(data["omega_pi_mhz"] - 1.72) < 0.01
+        assert isinstance(data["wide_sigma"], bool)
+
+
 class TestValidation:
     def test_unknown_param_named(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -172,6 +226,23 @@ class TestValidation:
     def test_missing_config_exit_code(self):
         assert cli.run("no-such-preset")[0] == 1
 
+    @pytest.mark.parametrize("preset, override, key", [
+        ("fig2d", "params.side=purple", "params.side"),
+        ("fig3a", "params.which=both", "params.which"),
+        ("fig2b", "params.dt_ns=-4", "params.dt_ns"),
+        ("fig3a", "params.powers=[-1]", "params.powers"),
+        ("fig3a", "params.powers=[1.0, NaN]", "params.powers"),
+    ])
+    def test_out_of_range_value_exit_code(self, preset, override, key,
+                                          tmp_path, capsys):
+        assert cli.main(["validate", preset, "--set", override]) == 1
+        assert key in capsys.readouterr().err
+        code, artifacts = cli.run(preset, [override,
+                                           f"output_dir={tmp_path}"])
+        assert code == 1 and artifacts == []
+        assert key in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_defaults_filled_in(self):
         cfg = cli.validate_config({
             "kind": "spectrum",
@@ -206,6 +277,18 @@ class TestFailurePaths:
                      f"output_dir={tmp_path}"])
         assert code == 2 and artifacts == []
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(stark, "fit_rabi_components", broken_fit)
+        code, artifacts = cli.run(
+            "appendixE-drive", ["params.n_points=50",
+                                f"output_dir={tmp_path}"])
+        assert code == 2 and artifacts == []
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_points_listed_in_failures_json(self, tmp_path,
                                                    monkeypatch):

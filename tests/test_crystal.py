@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from eitcool import units
 from eitcool.crystal import (CrystalConfig, PlanarInstabilityError,
-                             equilibrium_positions, transverse_modes,
-                             write_json)
+                             equilibrium_positions, transverse_modes)
 from eitcool.numerics import ContractViolation
 
 
@@ -141,20 +139,3 @@ class TestModes:
         with pytest.raises(PlanarInstabilityError) as exc:
             transverse_modes(c, pos)
         assert exc.value.mode_index == 0
-
-
-class TestJson:
-    def test_artifact_roundtrip(self, tmp_path):
-        import json
-
-        c = make(3)
-        modes = transverse_modes(c, equilibrium_positions(c))
-        path = tmp_path / "modes.json"
-        write_json(path, c, modes)
-        with open(path) as fh:
-            data = json.load(fh)
-        assert data["n_ions"] == 3
-        assert len(data["mode_frequencies_mhz"]) == 3
-        assert abs(max(data["mode_frequencies_mhz"])
-                   - units.to_mhz(c.omega_y)) < 1e-6
-        assert len(data["positions_um"]) == 3

@@ -1,7 +1,5 @@
 """Absorption lineshape: closed form versus steady-state populations."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from eitcool.atom4 import EitParams
 from eitcool.lindblad import NonUniqueSteadyStateError
 from eitcool.numerics import ContractViolation
 from eitcool.spectrum import (absorption_analytic, absorption_numeric,
-                              bright_resonances, write_csv)
+                              bright_resonances)
 
 P = EitParams.from_mhz(17.0, 17.0, 0.5, 55.0, 59.6, 4.6, gamma=21.0)
 
@@ -109,27 +107,3 @@ class TestNumeric:
         monkeypatch.setattr(spectrum, "steadystate", broken)
         with pytest.raises(TypeError):
             absorption_numeric(P, units.mhz(np.array([50.0, 60.0])))
-
-
-class TestCsv:
-    def test_columns_and_length(self, tmp_path):
-        grid = units.mhz(np.linspace(40.0, 70.0, 12))
-        ana = absorption_analytic(P, grid)
-        num = absorption_numeric(P, grid)
-        path = tmp_path / "spectrum.csv"
-        write_csv(path, ana, num)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["delta_pi_MHz", "W_analytic", "rho_ee_numeric"]
-        assert len(rows) == 13
-        first = [float(v) for v in rows[1]]
-        assert abs(first[0] - 40.0) < 1e-9
-
-    def test_analytic_only(self, tmp_path):
-        grid = units.mhz(np.linspace(40.0, 70.0, 5))
-        ana = absorption_analytic(P, grid)
-        path = tmp_path / "spectrum.csv"
-        write_csv(path, ana)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert all(row[2] == "" for row in rows[1:])

@@ -1,6 +1,5 @@
 """Differential Stark shifts and joint Rabi-component calibration."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -11,8 +10,7 @@ from eitcool import stark, units
 from eitcool.numerics import ContractViolation, DegenerateFitError
 from eitcool.stark import (QUBITS, NearResonanceError, StarkParams,
                            b_field_alignment, clock_shift,
-                           fit_rabi_components, ramsey_signal, write_json,
-                           zeeman_shift)
+                           fit_rabi_components, ramsey_signal, zeeman_shift)
 
 DRIVE = StarkParams.from_mhz(18.03, 16.74, 1.72, 55.6, delta_b=4.6,
                              gamma_clock=2e3, gamma_zeeman=2e3)
@@ -325,15 +323,3 @@ class TestReporting:
         assert abs(b_field_alignment([3.0, 4.0, 1.0]) - 0.2) < 1e-12
         with pytest.raises(ContractViolation):
             b_field_alignment([0.0, 0.0, 1.0])
-
-    def test_json_artifact(self, tmp_path):
-        t, traces = sample_traces(DRIVE)
-        fr = fit_rabi_components(list(zip([t] * 3, traces)), DRIVE)
-        path = tmp_path / "stark_fit.json"
-        write_json(path, fr, DRIVE)
-        with open(path) as fh:
-            data = json.load(fh)
-        assert abs(data["omega_plus_mhz"] - 18.03) < 0.01
-        assert abs(data["omega_minus_mhz"] - 16.74) < 0.01
-        assert abs(data["omega_pi_mhz"] - 1.72) < 0.01
-        assert isinstance(data["wide_sigma"], bool)
