@@ -15,7 +15,7 @@ from .atom4 import EitParams, dark_states, dressed_energies, dressed_stark_shift
 from .cooling import MotionalMode, simulate_cooling, detuning_scan
 from .crystal import CrystalConfig, equilibrium_positions, transverse_modes
 from .lindblad import LindbladSystem, evolve, steadystate
-from .operators import DensityMatrix, FockOperators, HilbertSpace
+from .operators import DensityMatrix, FockOperators
 from .spectrum import absorption_analytic, absorption_numeric, bright_resonances
 from .stark import StarkParams, clock_shift, zeeman_shift, fit_rabi_components
 from .thermometry import (OdfParams, SidebandParams, fit_nbar_ratio,
@@ -27,7 +27,7 @@ __all__ = [
     "MotionalMode", "simulate_cooling", "detuning_scan",
     "CrystalConfig", "equilibrium_positions", "transverse_modes",
     "LindbladSystem", "evolve", "steadystate",
-    "DensityMatrix", "FockOperators", "HilbertSpace",
+    "DensityMatrix", "FockOperators",
     "absorption_analytic", "absorption_numeric", "bright_resonances",
     "StarkParams", "clock_shift", "zeeman_shift", "fit_rabi_components",
     "OdfParams", "SidebandParams", "fit_nbar_ratio", "fit_nbar_trace",

@@ -165,16 +165,3 @@ def dressed_stark_shift(p, branch="cooling"):
             "two dressed levels are equidistant from the reference")
     return float(nonzero[order[0]] - ref)
 
-
-def dressed_stark_shift_two_level(p):
-    """Two-level estimate lumping both drive components into one Rabi rate.
-
-    (sqrt(D^2 + Osp^2 + Osm^2) - D)/2 with D = delta_d + delta_B.  This is
-    the closed-form number usually quoted for the peak-to-dark-state
-    distance; it overestimates the exact four-level shift of
-    dressed_stark_shift because the Zeeman splitting partially decouples
-    the two drive components.
-    """
-    d = p.delta_d + p.delta_B
-    om2 = p.omega_sigma_plus**2 + p.omega_sigma_minus**2
-    return 0.5 * (np.sqrt(d * d + om2) - d)

@@ -138,8 +138,8 @@ SCHEMAS = {
 # value checks on resolved params: key -> (predicate, requirement)
 _CHECKS = {
     "dt_ns": (lambda v: v > 0, "must be > 0"),
-    "powers": (lambda v: all(type(x) in (int, float) and 0 <= x < np.inf
-                             for x in v),
+    "powers": (lambda v: all(type(x) in (int, float)
+                             and 0 <= x <= sys.float_info.max for x in v),
                "entries must be finite numbers >= 0"),
 }
 
@@ -160,7 +160,11 @@ def _coerce(key, value, typ):
             f"params.{key}: must be one of {list(typ)}, got {value!r}")
     if typ is float and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"params.{key}: integer beyond float range") from None
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if typ is bool and isinstance(value, bool):

@@ -400,14 +400,3 @@ def power_scan(p, m, which, powers, nbar0=7.0, heating=0.0,
                    detuning=float(grid[best]))
     return rows
 
-
-def com_mode_for_crystal(n_ions, nu_mhz, **kw):
-    """COM mode of an N-ion crystal: uniform participation 1/sqrt(N).
-
-    Multi-ion COM cooling reuses the single-ion model: the per-ion
-    coupling eta/sqrt(N) and the N independent scatterers cancel in the
-    rate (eta^2 N), so rates and limits track the single-ion run.  This
-    is a documented approximation, not a derivation.
-    """
-    b = np.full(n_ions, 1.0 / np.sqrt(n_ions))
-    return MotionalMode.from_lab(nu_mhz, b=b, **kw)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .numerics import ContractViolation, integrate_ode
-from .operators import DensityMatrix, HilbertSpace
+from .operators import DensityMatrix, square_matrix
 
 # the dense Liouvillian (d^2 x d^2) and with it the steady-state solve
 # are refused above this total dimension
@@ -28,17 +28,15 @@ class NonUniqueSteadyStateError(RuntimeError):
 class LindbladSystem:
     hamiltonian: np.ndarray
     collapse: list
-    space: HilbertSpace
 
     def __post_init__(self):
-        d = self.space.dim
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
+        self.hamiltonian = square_matrix(self.hamiltonian, "hamiltonian")
         self.collapse = [np.asarray(c, dtype=complex) for c in self.collapse]
-        if self.hamiltonian.shape != (d, d):
-            raise ContractViolation("hamiltonian dim does not match space")
         for c in self.collapse:
-            if c.shape != (d, d):
-                raise ContractViolation("collapse dim does not match space")
+            if c.shape != self.hamiltonian.shape:
+                raise ContractViolation(
+                    f"collapse shape {c.shape} does not match hamiltonian "
+                    f"{self.hamiltonian.shape}")
         h = self.hamiltonian
         scale = max(np.abs(h).max(), 1.0)
         if np.abs(h - h.conj().T).max() > 1e-10 * scale:
@@ -55,15 +53,11 @@ class LindbladSystem:
             out += c @ rho @ c.conj().T
         return out
 
-    def effective_hamiltonian(self):
-        """H - (i/2) sum c^dag c, the no-jump generator (a copy)."""
-        return self._heff.copy()
-
     def liouvillian_matrix(self):
         """Dense superoperator on vec(rho), row-major convention:
         L = -i H_eff (x) 1 + i 1 (x) H_eff^* + sum c (x) c^*, each A (x) B
         the broadcast A[i, k] B[j, l] at (i d + j, k d + l)."""
-        d = self.space.dim
+        d = len(self.hamiltonian)
         if d > NULL_SPACE_DIM_LIMIT:
             raise ContractViolation(
                 f"dense Liouvillian refused for dim {d} > "
@@ -77,12 +71,12 @@ class LindbladSystem:
         return L.reshape(d * d, d * d)
 
 
-def _finalize(sys, mat, trace_tol=1e-6):
+def _finalize(mat, trace_tol=1e-6):
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > trace_tol:
         raise RuntimeError(f"trace drifted to {tr}")
-    return DensityMatrix(sys.space, mat / tr)
+    return DensityMatrix(mat / tr)
 
 
 def evolve(sys, rho0, t_list, rel_tol=1e-8, abs_tol=1e-10):
@@ -93,13 +87,13 @@ def evolve(sys, rho0, t_list, rel_tol=1e-8, abs_tol=1e-10):
     against.
     """
     t_list = np.asarray(t_list, dtype=float)
-    d = sys.space.dim
+    d = len(sys.hamiltonian)
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else rho0
     skip = int(t_list[0] != 0.0)        # 1 when t = 0 is prepended
     states = integrate_ode(lambda y: sys.rhs_matrix(y.reshape(d, d)).ravel(),
                            np.r_[0.0, t_list] if skip else t_list, rho,
                            rel_tol, abs_tol)
-    return [_finalize(sys, s.reshape(d, d)) for s in states[skip:]]
+    return [_finalize(s.reshape(d, d)) for s in states[skip:]]
 
 
 class SplitPropagator:
@@ -179,7 +173,7 @@ def steadystate(sys, check_tol=1e-9):
     replacing one row; the residual contract ||L rho_ss||_max < check_tol
     is evaluated on the generator normalized by its largest entry.
     """
-    d = sys.space.dim
+    d = len(sys.hamiltonian)
     L = sys.liouvillian_matrix()
     L /= np.abs(L).max()
     A = L.copy()
@@ -202,4 +196,4 @@ def steadystate(sys, check_tol=1e-9):
         if sv[-2] < 1e-10:
             raise NonUniqueSteadyStateError(
                 "Liouvillian null space has dimension > 1")
-    return _finalize(sys, x.reshape(d, d))
+    return _finalize(x.reshape(d, d))

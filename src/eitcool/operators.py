@@ -1,14 +1,11 @@
 """Quantum operator algebra on finite Hilbert spaces.
 
-Dense complex matrices throughout; a Hilbert space is an ordered list of
-subsystem dimensions and operators on composites are built with Kronecker
-products in that order.
+Dense complex matrices throughout, each carrying its own dimension:
+truncated Fock ladder operators, thermal weights, displacement
+exponentials, and the density-matrix shape and physicality checks.
 """
 
-import math
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,33 +20,22 @@ class TruncationError(ValueError):
     """Requested operation is invalid at this truncation level."""
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    subsystem_dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.subsystem_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ContractViolation("subsystem dims must all be >= 1")
-        object.__setattr__(self, "subsystem_dims", dims)
-
-    @cached_property
-    def dim(self):
-        return math.prod(self.subsystem_dims)
+def square_matrix(m, what):
+    """m as a complex (d, d) array with d >= 1; ContractViolation naming
+    what otherwise."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ContractViolation(
+            f"{what} shape {m.shape} is not (d, d) with d >= 1")
+    return m
 
 
 @dataclass
 class DensityMatrix:
-    space: HilbertSpace
     matrix: np.ndarray
-    truncation_deficit: float = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.space.dim, self.space.dim):
-            raise ContractViolation(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"space dim {self.space.dim}")
+        self.matrix = square_matrix(self.matrix, "density matrix")
 
     def validate(self, herm_tol=1e-10, trace_tol=1e-9, pos_tol=1e-8):
         m = self.matrix
@@ -64,9 +50,6 @@ class DensityMatrix:
             raise ContractViolation(
                 f"negative eigenvalue {vals.min():.3e}")
         return self
-
-    def expect(self, op):
-        return expect(op, self)
 
 
 @dataclass
@@ -100,17 +83,6 @@ def default_n_max(nbar0):
     return max(15, int(np.ceil(6.0 * nbar0)) + 10)
 
 
-def tensor(ops):
-    """Kronecker product of a list of square matrices, in listed order."""
-    ops = list(ops)
-    if not ops:
-        raise ContractViolation("tensor of an empty operator list")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
 def thermal_weights(n_max, nbar):
     """Un-normalized thermal weights nbar^i / (nbar+1)^(i+1), i = 0..n_max."""
     if nbar < 0:
@@ -122,26 +94,6 @@ def thermal_weights(n_max, nbar):
         return w
     # log-space to stay finite at large n_max
     return np.exp(i * np.log(nbar) - (i + 1) * np.log(nbar + 1.0))
-
-
-def thermal_state(n_max, nbar):
-    """Truncated thermal state, renormalized to trace 1.
-
-    The truncation deficit (weight beyond n_max in the untruncated
-    geometric distribution) is recorded on the returned DensityMatrix;
-    a deficit above 1% triggers a TruncationWarning.
-    """
-    w = thermal_weights(n_max, nbar)
-    held = w.sum()
-    deficit = 1.0 - held
-    if held < 0.99:
-        warnings.warn(
-            f"thermal truncation at n_max={n_max} holds only "
-            f"{held:.4f} of the weight (deficit {deficit:.3e})",
-            TruncationWarning)
-    rho = np.diag(w / held).astype(complex)
-    return DensityMatrix(HilbertSpace((n_max + 1,)), rho,
-                         truncation_deficit=deficit)
 
 
 def displacement_exp(fock, eta):
@@ -157,30 +109,3 @@ def displacement_exp(fock, eta):
     x = fock.a + fock.a_dagger
     vals, vecs = eig_hermitian(x)
     return (vecs * np.exp(1j * eta * vals)) @ vecs.conj().T
-
-
-def partial_trace(rho, keep):
-    """Trace out every subsystem except ``keep`` (an index into the space)."""
-    dims = rho.space.subsystem_dims
-    if not 0 <= keep < len(dims):
-        raise ContractViolation(f"keep index {keep} out of range")
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    # contract each traced subsystem pair, working from the highest index
-    for j in reversed(range(n)):
-        if j == keep:
-            continue
-        t = np.trace(t, axis1=j, axis2=j + (t.ndim // 2))
-    d = dims[keep]
-    return DensityMatrix(HilbertSpace((d,)), t.reshape(d, d),
-                         truncation_deficit=rho.truncation_deficit)
-
-
-def expect(op, rho):
-    """tr(op rho); real part returned as complex (imag ~ 0 for Hermitian op)."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != rho.matrix.shape:
-        raise ContractViolation(
-            f"operator shape {op.shape} does not match state "
-            f"{rho.matrix.shape}")
-    return complex(np.einsum('ij,ji->', op, rho.matrix))

@@ -14,7 +14,6 @@ from .atom4 import (collapse_ops, dressed_cubic_coeffs, dressed_stark_shift,
                     hamiltonian_rest)
 from .lindblad import LindbladSystem, steadystate
 from .numerics import ContractViolation, solve_cubic_real
-from .operators import HilbertSpace
 
 
 @dataclass
@@ -58,7 +57,6 @@ def absorption_numeric(p, grid):
     if p.omega_pi <= 0:
         raise ContractViolation("probe must be on (omega_pi > 0)")
     grid = np.asarray(grid, dtype=float)
-    space = HilbertSpace((4,))
     cops = collapse_ops(p)
     values = np.empty(grid.size)
     failed = np.zeros(grid.size, dtype=bool)
@@ -67,7 +65,7 @@ def absorption_numeric(p, grid):
     for i, delta_p in enumerate(grid):
         try:
             h = hamiltonian_rest(p.replace(delta_p=delta_p))
-            ss = steadystate(LindbladSystem(h, cops, space))
+            ss = steadystate(LindbladSystem(h, cops))
             values[i] = ss.matrix[0, 0].real
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             values[i] = np.nan

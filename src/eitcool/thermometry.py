@@ -9,7 +9,6 @@ method that inverts a single spectrum point to nbar, and heating-rate
 line fits.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -421,75 +420,9 @@ def heating_rate_fit(delays, nbars, sigmas=None):
     return fit_least_squares(line, (delays, nbars, sigmas), guess)
 
 
-def sample_projection_noise(p_true, shots=200, rng=None):
-    """Binomial quantum-projection-noise sample of a probability trace.
-
-    Returns (p_sampled, sigma) with a Laplace-smoothed binomial error
-    estimate, sqrt(p~(1 - p~)/shots) with p~ = (k + 1)/(shots + 2), which
-    stays finite at 0 and 1 counts.  For weighted fits prefer
-    expected_projection_sigma of the model trace: weights derived from
-    the sampled counts correlate with the noise and bias the fit.
-    """
-    rng = np.random.default_rng(rng)
-    p_true = np.clip(np.asarray(p_true, dtype=float), 0.0, 1.0)
-    k = rng.binomial(shots, p_true)
-    p_smooth = (k + 1.0) / (shots + 2.0)
-    sigma = np.sqrt(p_smooth * (1.0 - p_smooth) / shots)
-    return k / shots, sigma
-
-
 def expected_projection_sigma(p_model, shots=200):
     """Expected projection-noise scale of a model probability trace."""
     p_model = np.clip(np.asarray(p_model, dtype=float), 0.0, 1.0)
     return np.sqrt(np.clip(p_model * (1.0 - p_model), 0.25 / shots, None)
                    / shots)
 
-
-def read_trace_csv(path):
-    """Read `t_us, P_up[, sigma]` rows; returns (t_seconds, p, sigma).
-
-    Every row has the header's 2 or 3 fields, with t_us and P_up filled
-    in; sigma is filled in every row or blank in every row (then None).
-    Anything else raises ContractViolation naming the line.
-    """
-    rows, blank_sigma = [], []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        n_cols = len(next(rd, []))
-        if n_cols not in (2, 3):
-            raise ContractViolation(
-                f"{path}: line 1: need a header t_us, P_up[, sigma]")
-        for row in rd:
-            where = f"{path}: line {rd.line_num}"
-            if len(row) != n_cols:
-                raise ContractViolation(
-                    f"{where}: {len(row)} fields, the header has {n_cols}")
-            if "" in row[:2]:
-                raise ContractViolation(f"{where}: t_us or P_up is blank")
-            if row[2:] == [""]:
-                blank_sigma.append(rd.line_num)
-                row = row[:2]
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ContractViolation(f"{where}: {exc}") from None
-    if not rows:
-        raise ContractViolation(f"{path}: no data rows after line 1")
-    if 0 < len(blank_sigma) < len(rows):
-        raise ContractViolation(
-            f"{path}: line {blank_sigma[0]}: sigma is blank but other "
-            "rows give one")
-    arr = np.array(rows)
-    sig = arr[:, 2] if arr.shape[1] > 2 else None
-    return arr[:, 0] * 1e-6, arr[:, 1], sig
-
-
-def write_nbar_csv(path, mode_freqs, nbars, sigmas=None):
-    """Per-mode fitted nbar table: `mode_MHz, nbar[, sigma]`."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["mode_MHz", "nbar", "sigma"])
-        for i, f in enumerate(mode_freqs):
-            s = "" if sigmas is None else repr(float(sigmas[i]))
-            wr.writerow([repr(float(units.to_mhz(f))),
-                         repr(float(nbars[i])), s])

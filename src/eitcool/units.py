@@ -31,7 +31,3 @@ def to_mhz(omega):
     """Convert an angular frequency in rad/s to omega/(2 pi) in MHz."""
     return omega / (2.0 * math.pi * 1e6)
 
-
-def us(value):
-    """Convert microseconds to seconds."""
-    return 1e-6 * value

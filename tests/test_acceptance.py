@@ -21,9 +21,8 @@ from eitcool.crystal import (CrystalConfig, equilibrium_positions,
                              transverse_modes)
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import solve_cubic_real
-from eitcool.operators import (FockOperators, HilbertSpace,
-                               TruncationWarning, displacement_exp,
-                               thermal_weights)
+from eitcool.operators import (FockOperators, TruncationWarning,
+                               displacement_exp, thermal_weights)
 from eitcool.spectrum import absorption_analytic, absorption_numeric
 from eitcool.stark import (QUBITS, StarkParams, clock_shift,
                            fit_rabi_components, ramsey_signal, zeeman_shift)
@@ -302,7 +301,7 @@ def test_criterion_10_property_suite():
         cops = [0.5 * (rng.standard_normal((d, d))
                        + 1j * rng.standard_normal((d, d)))
                 for _ in range(int(rng.integers(0, 3)))]
-        sys_ = LindbladSystem(h, cops, HilbertSpace((d,)))
+        sys_ = LindbladSystem(h, cops)
         w = rng.random(d)
         rho0 = np.diag(w / w.sum()).astype(complex)
         for r in evolve(sys_, rho0, np.linspace(0.1, 1.0, 3)):
@@ -327,7 +326,7 @@ def test_criterion_10_property_suite():
     a_op = np.diag(np.sqrt(np.arange(1, nf)), 1).astype(complex)
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     h = 0.5 * g * (np.kron(sp, a_op.conj().T) + np.kron(sp.conj().T, a_op))
-    sys_ = LindbladSystem(h, [], HilbertSpace((2 * nf,)))
+    sys_ = LindbladSystem(h, [])
     nbar = 2.2
     w = thermal_weights(n_max, nbar)
     w /= w.sum()

@@ -8,8 +8,22 @@ from eitcool.atom4 import (AmbiguityError, DegenerateParameterError, E,
                            EitParams, collapse_ops, dark_states,
                            dressed_cubic_coeffs, dressed_energies,
                            dressed_hamiltonian, dressed_stark_shift,
-                           dressed_stark_shift_two_level, hamiltonian_rest)
+                           hamiltonian_rest)
 from eitcool.numerics import ContractViolation, solve_cubic_real
+
+
+def two_level_stark_shift(p):
+    """Two-level estimate lumping both drive components into one Rabi rate.
+
+    (sqrt(D^2 + Osp^2 + Osm^2) - D)/2 with D = delta_d + delta_B.  This is
+    the closed-form number usually quoted for the peak-to-dark-state
+    distance; it overestimates the exact four-level shift of
+    dressed_stark_shift because the Zeeman splitting partially decouples
+    the two drive components.
+    """
+    d = p.delta_d + p.delta_B
+    om2 = p.omega_sigma_plus**2 + p.omega_sigma_minus**2
+    return 0.5 * (np.sqrt(d * d + om2) - d)
 
 
 def random_params(rng):
@@ -129,7 +143,7 @@ class TestDressed:
     def test_stark_shift_reference_values(self):
         assert abs(units.to_mhz(dressed_stark_shift(REF))
                    - 1.3219210999048905) < 1e-9
-        assert abs(units.to_mhz(dressed_stark_shift_two_level(REF))
+        assert abs(units.to_mhz(two_level_stark_shift(REF))
                    - 2.3115720075407618) < 1e-9
 
     def test_two_level_upper_bounds_exact(self):
@@ -137,7 +151,7 @@ class TestDressed:
         for _ in range(30):
             p = random_params(rng)
             exact = dressed_stark_shift(p)
-            lumped = dressed_stark_shift_two_level(p)
+            lumped = two_level_stark_shift(p)
             assert exact <= lumped + 1e-9
 
     def test_branches_differ(self):

@@ -232,6 +232,11 @@ class TestValidation:
         ("fig2b", "params.dt_ns=-4", "params.dt_ns"),
         ("fig3a", "params.powers=[-1]", "params.powers"),
         ("fig3a", "params.powers=[1.0, NaN]", "params.powers"),
+        # integers beyond float range are config errors, not tracebacks
+        pytest.param("fig2b", f"params.dt_ns={'9' * 400}", "params.dt_ns",
+                     id="fig2b-dt_ns-huge-int"),
+        pytest.param("fig3a", f"params.powers=[{'9' * 400}]",
+                     "params.powers", id="fig3a-powers-huge-int"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):

@@ -10,13 +10,13 @@ from eitcool import cooling, units
 from eitcool.atom4 import (E, MINUS, PLUS, ZERO, EitParams,
                           dressed_stark_shift)
 from eitcool.cooling import (AllPointsFailedError, MotionalMode,
-                             com_mode_for_crystal, detuning_scan,
-                             doppler_initial_state, hamiltonian_moving,
+                             detuning_scan, doppler_initial_state,
+                             hamiltonian_moving,
                              power_scan, predicted_optimal_detuning,
                              simulate_cooling)
 from eitcool.lindblad import LindbladSystem, SplitPropagator, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import (DensityMatrix, FockOperators, HilbertSpace,
+from eitcool.operators import (DensityMatrix, FockOperators,
                                displacement_exp)
 
 P = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
@@ -35,11 +35,6 @@ class TestMotionalMode:
     def test_non_unit_participation_rejected(self):
         with pytest.raises(ContractViolation):
             MotionalMode.from_lab(2.38, n_max=10, b=np.array([0.5, 0.5]))
-
-    def test_com_mode_uniform(self):
-        m = com_mode_for_crystal(12, 2.38, n_max=10)
-        assert np.allclose(m.b, 1.0 / np.sqrt(12.0))
-        assert abs(np.linalg.norm(m.b) - 1.0) < 1e-12
 
 
 def _hamiltonian_moving_blocks(p, m):
@@ -145,7 +140,7 @@ class TestSimulate:
             fock = FockOperators(m.n_max)
             for op in (fock.a, fock.a_dagger):
                 cops.append(np.sqrt(heating) * np.kron(np.eye(4), op))
-        sys = LindbladSystem(h, cops, HilbertSpace((4 * nf,)))
+        sys = LindbladSystem(h, cops)
         rho0 = doppler_initial_state(m, 0.5)
         t = np.array([2e-6])
         ref = evolve(sys, rho0, t)[-1].matrix
@@ -245,10 +240,9 @@ class TestSplitStep:
             fock = FockOperators(m.n_max)
             for op in (fock.a, fock.a_dagger):
                 cops.append(np.sqrt(heating) * np.kron(np.eye(4), op))
-        sys = LindbladSystem(hamiltonian_moving(P, m), cops,
-                             HilbertSpace((4 * nf,)))
-        generic = SplitPropagator(sys.effective_hamiltonian(), 4e-9,
-                                  sys.collapse)
+        heff = hamiltonian_moving(P, m) - 0.5j * sum(c.conj().T @ c
+                                                     for c in cops)
+        generic = SplitPropagator(heff, 4e-9, cops)
         rho = doppler_initial_state(m, 2.0)
         ref = rho.copy()
         for _ in range(200):

@@ -1,15 +1,18 @@
-"""Every name a module imports is used in that module, and every private
-module-level name is used somewhere in the package.
+"""Every name a module imports is used in that module, every private
+module-level name is used somewhere in the package, and every public
+module-level function or class is read by the package, the benchmark
+harness or the acceptance criteria.
 
-No linter ships with the project, so these scans are the unused-import
-and dead-private-name checks.  __init__.py is skipped by the import
-scan: its imports are the package's re-exports.
+No linter ships with the project, so these scans are the unused-import,
+dead-private-name and test-only-code checks.  __init__.py is skipped by
+the import scan: its imports are the package's re-exports.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eitcool"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "eitcool"
 
 
 def unused_imports(tree):
@@ -91,3 +94,34 @@ def test_no_orphaned_private_names():
     trees = {p.name: ast.parse(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     assert orphaned_private_names(trees) == []
+
+
+def unread_public_names(trees, readers):
+    """file:line: name of each public module-level function or class that
+    no tree of readers reads."""
+    used = set().union(*(references(t) for t in readers))
+    return [f"{name}:{node.lineno}: {node.name}"
+            for name, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_scan_flags_an_unread_public_name():
+    trees = {"a.py": ast.parse("def f():\n    return g()\ndef g():\n"
+                               "    pass\nclass C:\n    pass\n"
+                               "def _h():\n    pass\n"),
+             "b.py": ast.parse("from a import C\n")}
+    assert unread_public_names(trees, trees.values()) == ["a.py:1: f"]
+
+
+def test_no_test_only_public_names():
+    # a re-export in __init__.py is not a read; the tests other than the
+    # acceptance criteria do not count either, so a name only they reach
+    # is flagged
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    outside = [*sorted((ROOT / "perfbench").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    readers = [t for name, t in trees.items() if name != "__init__.py"]
+    readers += [ast.parse(p.read_text()) for p in outside]
+    assert unread_public_names(trees, readers) == []

@@ -9,7 +9,7 @@ from eitcool.lindblad import (LindbladSystem, NonUniqueSteadyStateError,
                               SplitPropagator, evolve, run_intervals,
                               steadystate)
 from eitcool.numerics import ContractViolation
-from eitcool.operators import DensityMatrix, HilbertSpace
+from eitcool.operators import DensityMatrix
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |g><e|
 
@@ -18,13 +18,13 @@ def two_level(omega, delta, gamma):
     h = np.array([[delta, omega / 2.0], [omega / 2.0, 0.0]], dtype=complex)
     # basis order (|e>, |g>)
     c = np.sqrt(gamma) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    return LindbladSystem(h, [c], HilbertSpace((2,)))
+    return LindbladSystem(h, [c])
 
 
 def kron_liouvillian(sys):
     """Reference superoperator, one np.kron per term (row-major vec)."""
-    d = sys.space.dim
     h = sys.hamiltonian
+    d = len(h)
     eye = np.eye(d)
     L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for c in sys.collapse:
@@ -45,25 +45,25 @@ def random_systems(seed=7):
         for k in range(4):
             a = random_matrix(rng, d)
             cops = [random_matrix(rng, d) for _ in range(k)]
-            yield LindbladSystem(a + a.conj().T, cops, HilbertSpace((d,)))
+            yield LindbladSystem(a + a.conj().T, cops)
 
 
 class TestConstruction:
     def test_non_hermitian_hamiltonian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ContractViolation):
-            LindbladSystem(h, [], HilbertSpace((2,)))
+            LindbladSystem(h, [])
+
+    def test_bad_hamiltonian_shape_rejected(self):
+        # the dimension is read from the Hamiltonian, which must be square
+        for h in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(ContractViolation):
+                LindbladSystem(h, [])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            LindbladSystem(np.eye(2), [np.eye(3)], HilbertSpace((2,)))
-
-    def test_effective_hamiltonian(self):
-        sys = two_level(1.0, 0.0, 0.5)
-        heff = sys.effective_hamiltonian()
-        anti = heff - sys.hamiltonian
-        expected = -0.5j * sum(c.conj().T @ c for c in sys.collapse)
-        assert np.abs(anti - expected).max() < 1e-14
+        for c in (np.eye(3), np.ones((2, 3))):
+            with pytest.raises(ContractViolation):
+                LindbladSystem(np.eye(2), [np.eye(2), c])
 
     def test_liouvillian_matches_rhs(self):
         rng = np.random.default_rng(0)
@@ -83,7 +83,7 @@ class TestConstruction:
     def test_rhs_is_liouvillian_on_random_systems(self):
         rng = np.random.default_rng(8)
         for sys in random_systems():
-            d = sys.space.dim
+            d = len(sys.hamiltonian)
             rho = random_matrix(rng, d)
             L = sys.liouvillian_matrix()
             lhs = (L @ rho.ravel()).reshape(d, d)
@@ -92,7 +92,7 @@ class TestConstruction:
 
     def test_dense_liouvillian_refused_above_limit(self):
         d = 65
-        sys = LindbladSystem(np.zeros((d, d)), [], HilbertSpace((d,)))
+        sys = LindbladSystem(np.zeros((d, d)), [])
         with pytest.raises(ContractViolation):
             sys.liouvillian_matrix()
 
@@ -129,11 +129,11 @@ class TestEvolution:
         h = 1.0 * (a + a.conj().T) + 3.0 * np.diag(np.arange(n))
         cops = [np.sqrt(0.8) * a, np.sqrt(0.05) * a,
                 np.sqrt(0.05) * a.conj().T]
-        sys = LindbladSystem(h, cops, HilbertSpace((n,)))
+        sys = LindbladSystem(h, cops)
         rho0 = np.diag([0.2, 0.3, 0.5]).astype(complex)
         t = np.array([0.4, 0.9])
         r_rk = evolve(sys, rho0, t)
-        heff = sys.effective_hamiltonian()
+        heff = h - 0.5j * sum(c.conj().T @ c for c in cops)
         r_sp, _ = run_intervals(
             lambda dt: SplitPropagator(heff, dt, sys.collapse),
             rho0.copy(), t, 2e-4, lambda r: r.copy())
@@ -167,7 +167,7 @@ class TestSteadyState:
         # |1> decays to |0>, |2> is totally decoupled: two steady states
         c = np.zeros((3, 3), dtype=complex)
         c[0, 1] = 1.0
-        sys = LindbladSystem(np.zeros((3, 3)), [c], HilbertSpace((3,)))
+        sys = LindbladSystem(np.zeros((3, 3)), [c])
         with pytest.raises(NonUniqueSteadyStateError):
             steadystate(sys)
 

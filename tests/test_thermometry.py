@@ -1,5 +1,6 @@
 """Sideband flopping, ratio/trace nbar extraction, and ODF dephasing."""
 
+import functools
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -9,28 +10,32 @@ import pytest
 from scipy.optimize import brentq
 
 from eitcool import thermometry, units
-from eitcool.cooling import MotionalMode, com_mode_for_crystal
+from eitcool.cooling import MotionalMode
 from eitcool.crystal import (CrystalConfig, equilibrium_positions,
                              transverse_modes)
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import (DensityMatrix, HilbertSpace, TruncationWarning,
-                               tensor, thermal_weights)
+from eitcool.operators import (DensityMatrix, TruncationWarning,
+                               thermal_weights)
 from eitcool.thermometry import (CapacityError, InversionRangeError,
                                  OdfParams, SidebandParams,
                                  UnphysicalRatioError,
                                  expected_projection_sigma, fit_nbar_ratio,
                                  fit_nbar_trace, heating_rate_fit, odf_alpha,
                                  odf_height_to_nbar, odf_signal,
-                                 ratio_nbar_sigma, read_trace_csv,
-                                 sample_projection_noise,
-                                 sideband_populations, thermal_average,
-                                 write_nbar_csv)
+                                 ratio_nbar_sigma, sideband_populations,
+                                 thermal_average)
 
 
 def single_ion(n_max=30, rabi_mhz=0.5):
     mode = MotionalMode.from_lab(2.38, n_max=n_max)
     return SidebandParams(mode=mode, rabi=units.mhz(rabi_mhz))
+
+
+def com_mode(n_ions, n_max):
+    """2.38 MHz mode with uniform participation 1/sqrt(n_ions)."""
+    return MotionalMode.from_lab(
+        2.38, n_max=n_max, b=np.full(n_ions, 1.0 / np.sqrt(n_ions)))
 
 
 class TestSidebandBaseCases:
@@ -80,7 +85,7 @@ class TestSidebandBaseCases:
 
 class TestMultiSpin:
     def test_symmetric_matches_dense(self):
-        mode = com_mode_for_crystal(4, 2.38, n_max=6)
+        mode = com_mode(4, 6)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=4)
         t = np.linspace(0.0, 4.0 * p.blue_pi_time(), 25)
         dense = sideband_populations(p, "blue", t, symmetric=False)
@@ -98,7 +103,7 @@ class TestMultiSpin:
         # stacked blocks (n_max + 1) * 4^N exceed the entry limit; the
         # guard must trip before any of it is allocated
         for n_spins, n_max in ((8, 2000), (8, 1000), (17, 1)):
-            mode = com_mode_for_crystal(n_spins, 2.38, n_max=n_max)
+            mode = com_mode(n_spins, n_max)
             p = SidebandParams(mode=mode, rabi=units.mhz(0.5),
                                n_spins=n_spins)
             with pytest.raises(CapacityError):
@@ -107,7 +112,7 @@ class TestMultiSpin:
     def test_default_takes_dicke_path_past_dense_limit(self):
         # 8 uniform spins: dense blocks are 301 x 256^2 entries, over the
         # limit, so the default builds 301 Dicke blocks of 9^2 instead
-        mode = com_mode_for_crystal(8, 2.38, n_max=300)
+        mode = com_mode(8, 300)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=8)
         t = np.linspace(0.0, 2.0 * p.blue_pi_time(), 7)
         with pytest.raises(CapacityError):
@@ -120,7 +125,7 @@ class TestMultiSpin:
     def test_dense_build_allocates_blocks_only(self):
         # the full space is 2^6 * 61 = 3904 states, a 122 MB Hamiltonian;
         # the 61 stacked 64 x 64 blocks and their eigenvectors are 4 MB
-        mode = com_mode_for_crystal(6, 2.38, n_max=60)
+        mode = com_mode(6, 60)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=6)
         for side in ("red", "blue"):
             tracemalloc.start()
@@ -132,7 +137,7 @@ class TestMultiSpin:
             assert peak < 16e6
 
     def test_rabi_broadcast(self):
-        mode = com_mode_for_crystal(3, 2.38, n_max=4)
+        mode = com_mode(3, 4)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=3)
         assert p.rabi.size == 3
         assert np.ptp(p.couplings) < 1e-12 * p.couplings[0]
@@ -159,7 +164,8 @@ def _reference_table(p, side, t, symmetric):
         for j in range(n):
             ops = [np.eye(2)] * n
             ops[j] = sp
-            h += 0.5 * g[j] * np.kron(tensor(ops).real, mode_op)
+            spins = functools.reduce(np.kron, ops)
+            h += 0.5 * g[j] * np.kron(spins, mode_op)
         h = h + h.T
         up = np.array([(n - bin(s).count("1")) / n for s in range(2**n)])
         weight = np.repeat(up, nf)
@@ -185,7 +191,7 @@ def _three_unequal():
 
 
 def _ten_symmetric():
-    mode = com_mode_for_crystal(10, 2.38, n_max=20)
+    mode = com_mode(10, 20)
     return SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=10), True
 
 
@@ -232,7 +238,7 @@ class TestThermalAverage:
         sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |up><down|
         h = 0.5 * g * (np.kron(sp, a.conj().T)
                        + np.kron(sp.conj().T, a))
-        sys = LindbladSystem(h, [], HilbertSpace((2 * nf,)))
+        sys = LindbladSystem(h, [])
         w = thermal_weights(n_max, nbar)
         w /= w.sum()
         rho0 = np.kron(np.diag([0.0, 1.0]), np.diag(w)).astype(complex)
@@ -326,7 +332,7 @@ class TestFitters:
             assert abs(fr.params[0] - nb_ratio) < combined
 
     def test_dicke_com_ratio_inversion(self):
-        mode = com_mode_for_crystal(12, 2.38, n_max=30)
+        mode = com_mode(12, 30)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=12)
         t = p.blue_pi_time()
         nbar = 1.04
@@ -587,50 +593,7 @@ class TestOdf:
 
 
 class TestNoiseAndIo:
-    def test_projection_noise_deterministic(self):
-        p_true = np.linspace(0.05, 0.95, 10)
-        a1, s1 = sample_projection_noise(p_true, shots=200, rng=5)
-        a2, s2 = sample_projection_noise(p_true, shots=200, rng=5)
-        assert np.all(a1 == a2) and np.all(s1 == s2)
-        assert np.all((a1 >= 0.0) & (a1 <= 1.0))
-        assert np.all(s1 > 0.0)
-
     def test_expected_sigma_floor(self):
         s = expected_projection_sigma(np.array([0.0, 0.5]), shots=100)
         assert abs(s[0] - 0.005) < 1e-12
         assert abs(s[1] - 0.05) < 1e-12
-
-    def test_trace_csv_round_trip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        with open(path, "w") as fh:
-            fh.write("t_us,P_up,sigma\n1.0,0.25,0.01\n2.5,0.5,0.02\n")
-        t, p, sig = read_trace_csv(path)
-        assert np.allclose(t, [1e-6, 2.5e-6])
-        assert np.allclose(p, [0.25, 0.5])
-        assert np.allclose(sig, [0.01, 0.02])
-
-    def test_trace_csv_blank_sigma_column(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("t_us,P_up,sigma\n1.0,0.25,\n2.5,0.5,\n")
-        t, p, sig = read_trace_csv(path)
-        assert np.allclose(p, [0.25, 0.5]) and sig is None
-
-    @pytest.mark.parametrize("text, line", [
-        ("t_us,P_up,sigma\n1.0,,0.01\n2.5,,0.02\n", 2),   # no P_up
-        ("t_us,P_up,sigma\n", 1),                          # header only
-        ("t_us,P_up,sigma\n1.0,0.25,0.01\n2.5,0.5\n", 3),  # ragged
-        ("t_us,P_up,sigma\n1.0,0.25,0.01\n2.5,0.5,\n", 3),  # sigma gap
-        ("t_us,P_up\n1.0,x\n", 2),                        # not a number
-    ])
-    def test_trace_csv_rejects_malformed(self, tmp_path, text, line):
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        with pytest.raises(ContractViolation, match=f"line {line}"):
-            read_trace_csv(path)
-
-    def test_nbar_csv(self, tmp_path):
-        path = tmp_path / "nbar.csv"
-        write_nbar_csv(path, [units.mhz(1.22)], [0.82], [0.05])
-        text = path.read_text()
-        assert text.splitlines()[0] == "mode_MHz,nbar,sigma"
-        assert "0.82" in text
