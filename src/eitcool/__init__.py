@@ -16,7 +16,7 @@ from .cooling import MotionalMode, simulate_cooling, detuning_scan
 from .crystal import CrystalConfig, equilibrium_positions, transverse_modes
 from .lindblad import LindbladSystem, evolve, steadystate
 from .operators import DensityMatrix, FockOperators
-from .spectrum import absorption_analytic, absorption_numeric, bright_resonances
+from .spectrum import absorption_analytic, absorption_numeric
 from .stark import StarkParams, clock_shift, zeeman_shift, fit_rabi_components
 from .thermometry import (OdfParams, SidebandParams, fit_nbar_ratio,
                           fit_nbar_trace, odf_signal, sideband_populations)
@@ -28,7 +28,7 @@ __all__ = [
     "CrystalConfig", "equilibrium_positions", "transverse_modes",
     "LindbladSystem", "evolve", "steadystate",
     "DensityMatrix", "FockOperators",
-    "absorption_analytic", "absorption_numeric", "bright_resonances",
+    "absorption_analytic", "absorption_numeric",
     "StarkParams", "clock_shift", "zeeman_shift", "fit_rabi_components",
     "OdfParams", "SidebandParams", "fit_nbar_ratio", "fit_nbar_trace",
     "odf_signal", "sideband_populations",

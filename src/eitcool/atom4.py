@@ -143,18 +143,17 @@ def dressed_cubic_coeffs(p):
     return c3, c2, c1, c0
 
 
-def dressed_stark_shift(p, branch="cooling"):
-    """AC Stark shift of a dressed level relative to its bare position.
+def dressed_stark_shift(p):
+    """AC Stark shift of the cooling dressed level from its bare position.
 
-    branch="cooling" references delta_d + delta_B, the dark resonance the
-    cooling scheme parks the probe on; the narrow cooling peak sits at
-    that detuning plus this shift, so the optimal relative detuning is
-    delta_B + shift - nu.  branch="lower" references delta_d - delta_B.
+    The reference is delta_d + delta_B, the dark resonance the cooling
+    scheme parks the probe on; the narrow cooling peak sits at that
+    detuning plus this shift, so the optimal relative detuning is
+    delta_B + shift - nu.
     """
     if p.omega_sigma_plus <= 0:
         raise ContractViolation("omega_sigma_plus must be positive")
-    ref = {"cooling": p.delta_d + p.delta_B,
-           "lower": p.delta_d - p.delta_B}[branch]
+    ref = p.delta_d + p.delta_B
     vals = dressed_energies(p)
     nonzero = vals[np.abs(vals) > 0]
     dist = np.abs(nonzero - ref)

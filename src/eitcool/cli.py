@@ -225,7 +225,7 @@ def apply_overrides(raw, pairs):
         key, _, text = pair.partition("=")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:      # not JSON, or an integer past int's limit
             value = text
         if key in ("output_dir", "seed", "kind"):
             raw[key] = value
@@ -263,8 +263,7 @@ def _eit_params(p):
 
 def _cooling_inputs(p):
     """EIT parameters, mode and SI keywords shared by the cooling kinds."""
-    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
-                                 nbar0=p["nbar0"])
+    mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"])
     return _eit_params(p), mode, {
         "nbar0": p["nbar0"], "heating": p["heating_quanta_per_ms"] * 1e3,
         "dt": p["dt_ns"] * 1e-9}
@@ -485,7 +484,7 @@ def _load_config(config_path, overrides):
         with open(resolve_config_path(config_path)) as fh:
             raw = json.load(fh)
         return validate_config(apply_overrides(raw, overrides))
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # ConfigError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return None
 

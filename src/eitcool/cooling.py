@@ -23,8 +23,7 @@ from .atom4 import (MINUS, PLUS, ZERO, dressed_stark_shift,
 from .lindblad import SplitPropagator, run_intervals
 from .numerics import (ContractViolation, DegenerateFitError,
                        fit_least_squares)
-from .operators import (FockOperators, default_n_max, displacement_exp,
-                        thermal_weights)
+from .operators import FockOperators, displacement_exp, thermal_weights
 
 
 @dataclass
@@ -53,11 +52,10 @@ class MotionalMode:
             units.HBAR / (2.0 * self.mass * self.nu))
 
     @classmethod
-    def from_lab(cls, nu_mhz, mass_amu=units.YB171_MASS_AMU, n_max=None,
-                 nbar0=7.0, b=None):
-        if n_max is None:
-            n_max = default_n_max(nbar0)
-        return cls(nu=units.mhz(nu_mhz), mass=mass_amu * units.AMU,
+    def from_lab(cls, nu_mhz, n_max, b=None):
+        """A Yb-171 mode at nu_mhz seen by the 369.5 nm beams."""
+        return cls(nu=units.mhz(nu_mhz),
+                   mass=units.YB171_MASS_AMU * units.AMU,
                    k_mag=2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM
                                         * 1e-9),
                    n_max=n_max, b=b)
@@ -70,7 +68,6 @@ class CoolingResult:
     gamma_cool: float              # 1/e rate, 1/s
     tau_cool: float                # 1/e time, s
     n_ss: float                    # fitted limit, clamped to >= 0
-    heating_rate: float            # quanta/s used in the model
     fit_converged: bool = True
     truncation_flagged: bool = False
     top_fock_population: float = 0.0
@@ -206,7 +203,7 @@ def simulate_cooling(p, m, nbar0, t_list, heating=0.0, dt=2e-9):
                                                           nbar0)
     return CoolingResult(
         times=t_list, nbar=nbars, gamma_cool=gamma_cool, tau_cool=tau_cool,
-        n_ss=max(n_ss_raw, 0.0), heating_rate=heating, fit_converged=ok,
+        n_ss=max(n_ss_raw, 0.0), fit_converged=ok,
         truncation_flagged=top_max > 1e-3, top_fock_population=top_max,
         max_trace_correction=worst, n_ss_raw=n_ss_raw)
 

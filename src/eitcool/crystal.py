@@ -49,8 +49,8 @@ class CrystalConfig:
 
     @property
     def length_scale(self):
-        k = units.ELEMENTARY_CHARGE**2 / (4.0 * np.pi * units.EPSILON_0)
-        return (k / (self.mass * self.omega_z**2))**(1.0 / 3.0)
+        return (units.COULOMB_K
+                / (self.mass * self.omega_z**2))**(1.0 / 3.0)
 
 
 @dataclass
@@ -185,8 +185,7 @@ def transverse_modes(c, positions):
             raise ContractViolation(
                 f"positions are not an equilibrium (|grad| = "
                 f"{np.abs(g).max():.3e})")
-    kq = units.ELEMENTARY_CHARGE**2 / (4.0 * np.pi * units.EPSILON_0
-                                       * c.mass)
+    kq = units.COULOMB_K / c.mass
     K = np.full((n, n), 0.0)
     if n > 1:
         d = pos[:, None, :] - pos[None, :, :]

@@ -74,15 +74,6 @@ class FockOperators:
         return self.n_max + 1
 
 
-def default_n_max(nbar0):
-    """Fock truncation for an initial thermal occupation nbar0.
-
-    ceil(6 * nbar0) + 10 with a floor of 15 keeps the thermal truncation
-    deficit below 0.5% up to the Doppler starting point nbar0 ~ 7.
-    """
-    return max(15, int(np.ceil(6.0 * nbar0)) + 10)
-
-
 def thermal_weights(n_max, nbar):
     """Un-normalized thermal weights nbar^i / (nbar+1)^(i+1), i = 0..n_max."""
     if nbar < 0:

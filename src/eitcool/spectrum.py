@@ -2,29 +2,23 @@
 
 Two routes to the same lineshape: the closed-form scattering-amplitude
 profile W(Delta_pi) and the steady-state excited population of the
-master equation, plus extraction of the null points and the three
-bright-resonance peaks.
+master equation.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atom4 import (collapse_ops, dressed_cubic_coeffs, dressed_stark_shift,
-                    hamiltonian_rest)
+from .atom4 import collapse_ops, dressed_cubic_coeffs, hamiltonian_rest
 from .lindblad import LindbladSystem, steadystate
-from .numerics import ContractViolation, solve_cubic_real
+from .numerics import ContractViolation
 
 
 @dataclass
 class SpectrumResult:
-    detunings: np.ndarray          # probe detuning grid, rad/s
     values: np.ndarray             # analytic W (arb. units) or rho_ee
-    nulls: tuple                   # (delta_sigma_plus, delta_sigma_minus)
-    peaks: np.ndarray              # bright-resonance positions, rad/s
     failed: np.ndarray = None      # bool mask of failed numeric points
     failure_reasons: dict = field(default_factory=dict)   # index -> repr
-    annotations: dict = field(default_factory=dict)
 
 
 def absorption_analytic(p, grid):
@@ -42,7 +36,7 @@ def absorption_analytic(p, grid):
     c3, c2, c1, c0 = dressed_cubic_coeffs(p)
     cubic = ((c3 * grid + c2) * grid + c1) * grid + c0
     z = 4.0 * p.gamma**2 * num**2 + cubic**2
-    return _result(p, grid, 16.0 * num**2 / z)
+    return SpectrumResult(values=16.0 * num**2 / z)
 
 
 def absorption_numeric(p, grid):
@@ -72,38 +66,5 @@ def absorption_numeric(p, grid):
             failed[i] = True
             reasons[i] = repr(exc)
 
-    return _result(p, grid, values, failed=failed, failure_reasons=reasons)
-
-
-@dataclass
-class BrightResonances:
-    roots: np.ndarray        # ascending, rad/s
-    cooling_peak: float      # the narrow peak used for cooling
-    all_real: bool
-
-
-def bright_resonances(p):
-    """Real roots of the bright-resonance cubic, ascending.
-
-    The cooling peak is the root adjacent to the dark resonance at
-    delta_d + delta_B (the probe parking point of the cooling scheme).
-    """
-    if p.omega_sigma_plus == 0 and p.omega_sigma_minus == 0:
-        raise ContractViolation("at least one drive component must be on")
-    roots = solve_cubic_real(*dressed_cubic_coeffs(p))
-    all_real = len(roots) == 3
-    ref = p.delta_d + p.delta_B
-    cooling_peak = float(roots[np.argmin(np.abs(roots - ref))])
-    return BrightResonances(roots=roots, cooling_peak=cooling_peak,
-                            all_real=all_real)
-
-
-def _result(p, grid, values, **kw):
-    """SpectrumResult of p, solving the bright-resonance cubic once."""
-    br = bright_resonances(p)
-    return SpectrumResult(
-        detunings=grid, values=values,
-        nulls=(p.delta_sigma_plus, p.delta_sigma_minus), peaks=br.roots,
-        annotations={"carrier": p.delta_d + p.delta_B,
-                     "cooling_peak": br.cooling_peak,
-                     "stark_shift": dressed_stark_shift(p)}, **kw)
+    return SpectrumResult(values=values, failed=failed,
+                          failure_reasons=reasons)

@@ -216,26 +216,23 @@ def _estimate_oscillation(t, y, env, n_best=3):
             for i in idx]
 
 
-def fit_rabi_components(traces, p0, sigma=None):
+def fit_rabi_components(traces, p0):
     """Joint fit of (Omega_+, Omega_-, Omega_pi) to three Ramsey traces.
 
-    traces is a dict or sequence keyed/ordered as (clock, zeeman+,
-    zeeman-), each entry a (t, P) pair sharing the beam parameters of the
-    p0 guess.  The oscillation frequency of each trace is estimated
-    first; since each shift is linear in the squared components, a 3x3
-    linear solve over the possible shift signs seeds the joint nonlinear
-    polish, which avoids period-slip local minima.  The p0 components
-    are polished last, as the fallback seed; the search stops at the
-    first candidate whose residual norm is below 1e-9 of the data scale.
+    traces is a sequence ordered as (clock, zeeman+, zeeman-), each
+    entry a (t, P) pair sharing the beam parameters of the p0 guess.
+    The oscillation frequency of each trace is estimated first; since
+    each shift is linear in the squared components, a 3x3 linear solve
+    over the possible shift signs seeds the joint nonlinear polish,
+    which avoids period-slip local minima.  The p0 components are
+    polished last, as the fallback seed; the search stops at the first
+    candidate whose residual norm is below 1e-9 of the data scale.
     A candidate whose fit is degenerate is skipped.  Returns a FitResult
     with params in rad/s (positive by convention: the shifts depend on
     Omega^2 only) plus a wide_sigma attribute flagging weakly constrained
     components.
     """
-    if isinstance(traces, dict):
-        items = [traces[q] for q in QUBITS]
-    else:
-        items = list(traces)
+    items = list(traces)
     if len(items) != 3:
         raise ContractViolation("need exactly three traces "
                                 "(clock, zeeman+, zeeman-)")
@@ -250,8 +247,7 @@ def fit_rabi_components(traces, p0, sigma=None):
     t_cat = np.concatenate(t_all)
     tag_cat = np.concatenate(tags)
     y_cat = np.concatenate(y_all)
-    sig = np.ones_like(y_cat) if sigma is None else np.concatenate(
-        [np.asarray(s, dtype=float) for s in sigma])
+    sig = np.ones_like(y_cat)
 
     # detuning-only rows, fixed by p0; the fit varies only x
     mat, decay = map(np.array, zip(*(_coefficients(p0, q) for q in QUBITS)))

@@ -21,7 +21,7 @@ from .operators import TruncationWarning, thermal_weights
 
 
 class CapacityError(RuntimeError):
-    """Block size guard tripped; suggests the symmetric-subspace path."""
+    """The stacked sideband blocks would exceed BLOCK_ENTRY_LIMIT."""
 
 
 class UnphysicalRatioError(ValueError):
@@ -33,7 +33,6 @@ class InversionRangeError(ValueError):
 
 
 BLOCK_ENTRY_LIMIT = 2**24          # stacked (n_max + 1) * C^2 floats
-DENSE_SPIN_LIMIT = 8
 
 
 @dataclass
@@ -80,11 +79,11 @@ class _SidebandModel:
     The drive conserves Q = n_phonon - n_up (blue) or n_phonon + n_up
     (red), so the initial state |down...down> x |n> evolves inside the
     block Q = n alone.  Each block is built directly over the spin
-    configurations, all-down first: the 2^N up-spin subsets on the dense
-    path, the N + 1 Dicke levels on the symmetric one.  Configuration c
-    sits at phonon number m_c = n + up_c (blue) or n - up_c (red); one
-    with m_c outside 0..n_max is a decoupled zero row of weight 0,
-    orthogonal to psi0.
+    configurations, all-down first: the N + 1 Dicke levels when the
+    couplings are equal (to 1e-9 relative), the 2^N up-spin subsets
+    otherwise.  Configuration c sits at phonon number m_c = n + up_c
+    (blue) or n - up_c (red); one with m_c outside 0..n_max is a
+    decoupled zero row of weight 0, orthogonal to psi0.
     Each spin-raising link with ladder factor f couples its two
     configurations with f * sqrt(max(m_lo, m_hi)) / 2.  The n_max + 1
     blocks are diagonalized in one stacked eigh, psi0 first in each.
@@ -94,27 +93,18 @@ class _SidebandModel:
     exploit this to avoid re-diagonalizing.
     """
 
-    def __init__(self, p, side, symmetric=None):
+    def __init__(self, p, side):
         if side not in ("red", "blue"):
             raise ContractViolation("side must be 'red' or 'blue'")
         nf = p.mode.n_max + 1
         n = p.n_spins
         g = p.couplings
-        equal = np.ptp(g) <= 1e-9 * max(np.abs(g).max(), 1e-300)
-        if symmetric is None:
-            # dense up to DENSE_SPIN_LIMIT spins unless its blocks would
-            # trip the size guard where the Dicke path can take over
-            symmetric = n > DENSE_SPIN_LIMIT or (
-                equal and nf * 4**n > BLOCK_ENTRY_LIMIT)
-        if symmetric and not equal:
-            raise ContractViolation(
-                "symmetric-subspace path requires equal couplings "
-                "(COM mode, uniform Rabi)")
+        symmetric = np.ptp(g) <= 1e-9 * max(np.abs(g).max(), 1e-300)
         n_conf = n + 1 if symmetric else 2**n
         if nf * n_conf**2 > BLOCK_ENTRY_LIMIT:
             raise CapacityError(
                 f"{nf} blocks of {n_conf}^2 entries exceed "
-                f"{BLOCK_ENTRY_LIMIT}; use symmetric=True for the COM mode")
+                f"{BLOCK_ENTRY_LIMIT}")
         if symmetric:
             # Dicke levels: J+ |k> = sqrt((k + 1)(N - k)) |k + 1>
             up = np.arange(n + 1)
@@ -147,22 +137,15 @@ class _SidebandModel:
         return np.einsum("nb,nbt->nt", self.weight, np.abs(amp)**2)
 
 
-def sideband_populations(p, side, t, n=None, symmetric=None):
+def sideband_populations(p, side, t):
     """Per-spin-averaged P_up under the red or blue sideband drive.
 
-    Initial state |down...down> x |n>.  With n given, returns P_up with
-    the shape of t; with n omitted, returns the full Fock-resolved table
-    of shape (n_max + 1, len(t)).  symmetric None takes the dense path
-    up to DENSE_SPIN_LIMIT spins and the Dicke path beyond it, or where
-    equal couplings' dense blocks would exceed BLOCK_ENTRY_LIMIT.
+    Row n of the returned (n_max + 1, len(t)) table starts from
+    |down...down> x |n>.  Equal couplings take the Dicke path, unequal
+    ones the dense one; CapacityError when the blocks exceed
+    BLOCK_ENTRY_LIMIT.
     """
-    if n is not None and not 0 <= n <= p.mode.n_max:
-        raise ContractViolation(f"Fock index {n} outside 0..{p.mode.n_max}")
-    tab = _SidebandModel(p, side, symmetric=symmetric).table(t)
-    if n is None:
-        return tab
-    out = tab[n]
-    return out if np.ndim(t) else float(out[0])
+    return _SidebandModel(p, side).table(t)
 
 
 def thermal_average(p_table, nbar):
@@ -184,13 +167,13 @@ def thermal_average(p_table, nbar):
     return out if out.size > 1 else float(out[0])
 
 
-def fit_nbar_trace(data, p, side="blue", p0=None):
-    """Extract nbar from a sideband trace by thermal-model least squares.
+def fit_nbar_trace(data, p):
+    """Extract nbar from a blue-sideband trace by thermal least squares.
 
     data is (t, P_up) or (t, P_up, sigma).  Free parameters are
-    nbar = e^u (positivity built in) and an overall Rabi scale; the
-    returned FitResult carries params (nbar, scale) with 1-sigma errors
-    propagated through the exponential.
+    nbar = e^u (positivity built in) and an overall Rabi scale, both
+    started at 1; the returned FitResult carries params (nbar, scale)
+    with 1-sigma errors propagated through the exponential.
     """
     if len(data) == 2:
         t, y = np.asarray(data[0], float), np.asarray(data[1], float)
@@ -200,7 +183,7 @@ def fit_nbar_trace(data, p, side="blue", p0=None):
     g0 = max(np.abs(p.couplings))
     if t.max() * g0 < np.pi:
         raise ContractViolation("trace must span at least one pi time")
-    model = _SidebandModel(p, side)
+    model = _SidebandModel(p, "blue")
 
     def f(x, pr):
         u, v = pr
@@ -209,10 +192,7 @@ def fit_nbar_trace(data, p, side="blue", p0=None):
             warnings.simplefilter("ignore", TruncationWarning)
             return thermal_average(tab, np.exp(u))
 
-    if p0 is None:
-        p0 = (1.0, 1.0)
-    fr = fit_least_squares(f, (t, y, sig), [np.log(max(p0[0], 1e-4)),
-                                            np.log(p0[1])])
+    fr = fit_least_squares(f, (t, y, sig), [0.0, 0.0])
     nbar, scale = np.exp(fr.params)
     sigma = np.array([nbar * fr.sigma[0], scale * fr.sigma[1]])
     return FitResult(params=np.array([nbar, scale]), sigma=sigma,
@@ -235,12 +215,12 @@ def _model_ratio(p, t):
     return model_ratio
 
 
-def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
-    """Invert the red/blue population ratio at the blue pi time to nbar.
+def fit_nbar_ratio(p_red, p_blue, p, t=None):
+    """Invert the red/blue population ratio at time t to nbar.
 
-    The ratio of thermally averaged sideband populations at a fixed time
-    is monotone in nbar; Brent's method (brentq) finds it on [0, n_cap],
-    n_cap = n_max / 2 by default, to tol.
+    t defaults to the blue pi time.  The ratio of thermally averaged
+    sideband populations at a fixed time is monotone in nbar; Brent's method (brentq) finds it on [0, n_cap],
+    n_cap = n_max / 2, to 1e-6.
     """
     if p_blue <= 0:
         raise ContractViolation("blue-sideband population must be > 0")
@@ -252,14 +232,13 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None, n_cap=None, tol=1e-6):
     if ratio <= 0:
         return 0.0
     model_ratio = _model_ratio(p, t)
-    if n_cap is None:
-        n_cap = p.mode.n_max / 2.0
+    n_cap = p.mode.n_max / 2.0
     if ratio > model_ratio(n_cap):
         raise InversionRangeError(
             f"ratio {ratio:.3f} exceeds the model at nbar = {n_cap:.1f}; "
             "raise n_max")
     return brentq(lambda nbar: model_ratio(nbar) - ratio, 0.0, n_cap,
-                  xtol=tol)
+                  xtol=1e-6)
 
 
 def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
@@ -399,8 +378,8 @@ def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,
                  / (2.0 * target))
 
 
-def heating_rate_fit(delays, nbars, sigmas=None):
-    """Weighted linear fit nbar(t) = n0 + rate * t.
+def heating_rate_fit(delays, nbars):
+    """Linear fit nbar(t) = n0 + rate * t.
 
     Returns a FitResult whose params are (n0, rate in quanta/s) with
     1-sigma errors.
@@ -409,15 +388,14 @@ def heating_rate_fit(delays, nbars, sigmas=None):
     nbars = np.asarray(nbars, dtype=float)
     if delays.size < 3:
         raise ContractViolation("need at least 3 delay points")
-    if sigmas is None:
-        sigmas = np.ones_like(nbars)
     span = max(delays.max(), 1e-12)
 
     def line(x, pr):
         return pr[0] + pr[1] * x
 
     guess = [nbars[0], (nbars[-1] - nbars[0]) / span]
-    return fit_least_squares(line, (delays, nbars, sigmas), guess)
+    return fit_least_squares(line, (delays, nbars, np.ones_like(nbars)),
+                             guess)
 
 
 def expected_projection_sigma(p_model, shots=200):

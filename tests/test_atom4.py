@@ -154,11 +154,6 @@ class TestDressed:
             lumped = two_level_stark_shift(p)
             assert exact <= lumped + 1e-9
 
-    def test_branches_differ(self):
-        up = dressed_stark_shift(REF, branch="cooling")
-        lo = dressed_stark_shift(REF, branch="lower")
-        assert up != lo
-
     def test_zero_sigma_plus_rejected(self):
         with pytest.raises(ContractViolation):
             dressed_stark_shift(REF.replace(omega_sigma_plus=0.0))

@@ -237,6 +237,10 @@ class TestValidation:
                      id="fig2b-dt_ns-huge-int"),
         pytest.param("fig3a", f"params.powers=[{'9' * 400}]",
                      "params.powers", id="fig3a-powers-huge-int"),
+        # past Python's 4,300-digit int-string limit json.loads raises a
+        # plain ValueError; the text is kept and fails the type check
+        pytest.param("fig2b", f"params.dt_ns={'9' * 5000}", "params.dt_ns",
+                     id="fig2b-dt_ns-5000-digit-int"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):
@@ -247,6 +251,20 @@ class TestValidation:
         assert code == 1 and artifacts == []
         assert key in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_int_in_config_file_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        out = tmp_path / "out"
+        cfg.write_text(
+            '{"kind": "cool", "output_dir": "%s", "params": {"nu_mhz": 2.38, '
+            '"omega_sigma_plus_mhz": 17.0, "omega_sigma_minus_mhz": 17.0, '
+            '"omega_pi_mhz": 2.0, "delta_d_mhz": 55.0, "delta_p_mhz": 59.6, '
+            '"delta_b_mhz": 4.6, "dt_ns": %s}}' % (out, "9" * 5000))
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.run(str(cfg)) == (1, [])
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_defaults_filled_in(self):
         cfg = cli.validate_config({
@@ -318,6 +336,40 @@ class TestFailurePaths:
         assert failures == [{"index": 1,
                              "delta_pi_MHz": pytest.approx(50.0, rel=1e-12),
                              "error": "LinAlgError('forced')"}]
+
+    def test_single_lambda_spectrum(self, tmp_path):
+        # sigma+ off: nothing drives |->, so the atom is optically pumped
+        # there and rho_ee vanishes at every probe detuning
+        code, artifacts = cli.run(
+            "fig5", ["params.omega_sigma_plus_mhz=0",
+                     f"output_dir={tmp_path}"])
+        assert code == 0
+        assert not (tmp_path / "failures.json").exists()
+        with open(tmp_path / "spectrum.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 400
+        rho = np.array([float(r["rho_ee_numeric"]) for r in rows])
+        w = np.array([float(r["W_analytic"]) for r in rows])
+        assert np.abs(rho).max() < 1e-12
+        assert np.all(np.isfinite(w)) and w.max() > 0.0
+
+    def test_drives_off_lists_every_point(self, tmp_path):
+        # probe only: |+> and |-> are both dark, so no point has a unique
+        # steady state
+        code, artifacts = cli.run(
+            "fig5", ["params.omega_sigma_plus_mhz=0",
+                     "params.omega_sigma_minus_mhz=0", "params.n_points=12",
+                     f"output_dir={tmp_path}"])
+        assert code == 0
+        with open(tmp_path / "failures.json") as fh:
+            failures = json.load(fh)
+        assert [f["index"] for f in failures] == list(range(12))
+        assert all("NonUniqueSteadyStateError" in f["error"]
+                   for f in failures)
+        with open(tmp_path / "spectrum.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(np.isnan(float(r["rho_ee_numeric"])) for r in rows)
+        assert all(np.isfinite(float(r["W_analytic"])) for r in rows)
 
     def test_clean_run_writes_no_failures_json(self, tmp_path):
         code, artifacts = cli.run(

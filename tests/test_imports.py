@@ -1,10 +1,10 @@
 """Every name a module imports is used in that module, every private
 module-level name is used somewhere in the package, and every public
-module-level function or class is read by the package, the benchmark
-harness or the acceptance criteria.
+module-level function or class, and every dataclass field, is read by
+the package, the benchmark harness or the acceptance criteria.
 
 No linter ships with the project, so these scans are the unused-import,
-dead-private-name and test-only-code checks.  __init__.py is skipped by
+dead-private-name, test-only-code and unread-field checks.  __init__.py is skipped by
 the import scan: its imports are the package's re-exports.
 """
 
@@ -125,3 +125,50 @@ def test_no_test_only_public_names():
     readers = [t for name, t in trees.items() if name != "__init__.py"]
     readers += [ast.parse(p.read_text()) for p in outside]
     assert unread_public_names(trees, readers) == []
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(trees, readers):
+    """file:line: Class.field of each annotated field of a @dataclass that
+    no tree of readers reads as an attribute."""
+    read = {node.attr for t in readers for node in ast.walk(t)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{name}:{item.lineno}: {cls.name}.{item.target.id}"
+            for name, tree in sorted(trees.items())
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_scan_flags_an_unread_dataclass_field():
+    trees = {"a.py": ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z = 1\n"
+        "@dataclass(frozen=True)\nclass B:\n    u: int\n"
+        "class C:\n    v: int\n"),
+        "b.py": ast.parse("def f(a, b):\n    a.y = 2\n    return a.x\n")}
+    assert unread_dataclass_fields(trees, trees.values()) == [
+        "a.py:5: A.y", "a.py:9: B.u"]
+
+
+def test_no_dataclass_field_only_tests_read():
+    # a field is read when the package (not __init__.py), the benchmark
+    # harness or the acceptance criteria load it as an attribute
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    outside = [*sorted((ROOT / "perfbench").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    readers = [t for name, t in trees.items() if name != "__init__.py"]
+    readers += [ast.parse(p.read_text()) for p in outside]
+    assert unread_dataclass_fields(trees, readers) == []

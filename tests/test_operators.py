@@ -6,8 +6,7 @@ import pytest
 
 from eitcool.numerics import ContractViolation
 from eitcool.operators import (DensityMatrix, FockOperators, TruncationError,
-                               default_n_max, displacement_exp,
-                               thermal_weights)
+                               displacement_exp, thermal_weights)
 
 
 class TestDensityMatrix:
@@ -77,12 +76,6 @@ class TestThermal:
         nbar = 1.3
         w = thermal_weights(200, nbar)
         assert abs(np.arange(201) @ w / w.sum() - nbar) < 1e-9
-
-    def test_default_n_max_holds_weight(self):
-        for nbar in (0.0, 0.5, 3.0, 7.0):
-            n_max = default_n_max(nbar)
-            held = thermal_weights(n_max, nbar).sum()
-            assert 1.0 - held < 5e-3
 
 
 class TestDisplacement:

@@ -5,11 +5,10 @@ import pytest
 
 from eitcool import units
 from eitcool import spectrum
-from eitcool.atom4 import EitParams
+from eitcool.atom4 import EitParams, dressed_cubic_coeffs
 from eitcool.lindblad import NonUniqueSteadyStateError
-from eitcool.numerics import ContractViolation
-from eitcool.spectrum import (absorption_analytic, absorption_numeric,
-                              bright_resonances)
+from eitcool.numerics import ContractViolation, solve_cubic_real
+from eitcool.spectrum import absorption_analytic, absorption_numeric
 
 P = EitParams.from_mhz(17.0, 17.0, 0.5, 55.0, 59.6, 4.6, gamma=21.0)
 
@@ -21,7 +20,7 @@ class TestAnalytic:
         assert np.abs(res.values).max() == 0.0
 
     def test_peak_value_at_bright_resonances(self):
-        peaks = bright_resonances(P).roots
+        peaks = solve_cubic_real(*dressed_cubic_coeffs(P))
         res = absorption_analytic(P, peaks)
         # the cubic term vanishes there, leaving W = 4 / gamma^2
         assert np.abs(res.values - 4.0 / P.gamma**2).max() \
@@ -32,32 +31,31 @@ class TestAnalytic:
         res = absorption_analytic(P, grid)
         assert np.all(res.values >= 0.0)
 
-    def test_nulls_reported(self):
-        res = absorption_analytic(P, units.mhz(np.linspace(40, 70, 10)))
-        assert res.nulls == (P.delta_sigma_plus, P.delta_sigma_minus)
+    def test_single_lambda_lineshape(self):
+        # sigma+ off: the (D - ds+) factor cancels from N and the cubic,
+        # leaving the sigma- / pi Lambda profile
+        p = P.replace(omega_sigma_plus=0.0)
+        grid = units.mhz(np.linspace(30.0, 80.0, 400))
+        d = grid - p.delta_sigma_minus
+        expected = 16.0 * d**2 / (
+            4.0 * p.gamma**2 * d**2
+            + (4.0 * grid * d - p.omega_sigma_minus**2)**2)
+        got = absorption_analytic(p, grid).values
+        assert np.abs(got - expected).max() < 1e-12 * expected.max()
 
-    def test_annotations(self):
-        res = absorption_analytic(P, units.mhz(np.linspace(40, 70, 10)))
-        assert res.annotations["carrier"] == P.delta_d + P.delta_B
-        assert "cooling_peak" in res.annotations
-        assert "stark_shift" in res.annotations
+    def test_drives_off_is_lorentzian(self):
+        p = P.replace(omega_sigma_plus=0.0, omega_sigma_minus=0.0)
+        grid = units.mhz(np.linspace(30.0, 80.0, 400))
+        expected = 4.0 / (p.gamma**2 + 4.0 * grid**2)
+        got = absorption_analytic(p, grid).values
+        assert np.abs(got - expected).max() < 1e-12 * expected.max()
 
 
 class TestBrightResonances:
     def test_three_real_roots_in_regime(self):
-        br = bright_resonances(P)
-        assert br.all_real and br.roots.size == 3
-        assert np.all(np.diff(br.roots) > 0)
-
-    def test_cooling_peak_is_closest_to_carrier(self):
-        br = bright_resonances(P)
-        ref = P.delta_d + P.delta_B
-        assert br.cooling_peak == br.roots[np.argmin(np.abs(br.roots - ref))]
-
-    def test_no_drive_rejected(self):
-        with pytest.raises(ContractViolation):
-            bright_resonances(P.replace(omega_sigma_plus=0.0,
-                                        omega_sigma_minus=0.0))
+        roots = solve_cubic_real(*dressed_cubic_coeffs(P))
+        assert roots.size == 3
+        assert np.all(np.diff(roots) > 0)
 
 
 class TestNumeric:

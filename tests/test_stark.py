@@ -254,14 +254,6 @@ class TestFit:
             truth = np.array([p.omega_plus, p.omega_minus, p.omega_pi])
             assert np.abs(fr.params / truth - 1.0).max() < 0.01
 
-    def test_dict_input(self):
-        t, traces = sample_traces(DRIVE)
-        by_name = dict(zip(QUBITS, zip([t] * 3, traces)))
-        fr = fit_rabi_components(by_name, DRIVE)
-        truth = np.array([DRIVE.omega_plus, DRIVE.omega_minus,
-                          DRIVE.omega_pi])
-        assert np.abs(fr.params - truth).max() < 1e-4 * truth.max()
-
     def test_permuted_traces_fit_worse(self):
         t, traces = sample_traces(DRIVE)
         good = fit_rabi_components(list(zip([t] * 3, traces)), DRIVE)

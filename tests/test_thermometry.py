@@ -38,13 +38,22 @@ def com_mode(n_ions, n_max):
         2.38, n_max=n_max, b=np.full(n_ions, 1.0 / np.sqrt(n_ions)))
 
 
+def unequal_spins(n_spins, n_max):
+    """COM-mode register whose Rabi frequencies differ from ion to ion,
+    so its couplings are unequal and the table takes the dense path."""
+    return SidebandParams(mode=com_mode(n_spins, n_max),
+                          rabi=units.mhz(np.linspace(0.4, 0.6, n_spins)),
+                          n_spins=n_spins)
+
+
 class TestSidebandBaseCases:
     def test_blue_fock_flop(self):
         p = single_ion()
         g = p.couplings[0]
         t = np.linspace(0.0, 2.0 * np.pi / g, 40)
+        tab = sideband_populations(p, "blue", t)
         for n in (0, 1, 3):
-            got = sideband_populations(p, "blue", t, n=n)
+            got = tab[n]
             exact = np.sin(np.sqrt(n + 1.0) * g * t / 2.0)**2
             assert np.abs(got - exact).max() < 1e-12
 
@@ -52,31 +61,27 @@ class TestSidebandBaseCases:
         p = single_ion()
         g = p.couplings[0]
         t = np.linspace(0.0, 2.0 * np.pi / g, 40)
+        tab = sideband_populations(p, "red", t)
         for n in (1, 2, 5):
-            got = sideband_populations(p, "red", t, n=n)
+            got = tab[n]
             exact = np.sin(np.sqrt(float(n)) * g * t / 2.0)**2
             assert np.abs(got - exact).max() < 1e-12
 
     def test_red_from_ground_is_dark(self):
         p = single_ion()
         t = np.linspace(0.0, 1e-4, 20)
-        assert np.abs(sideband_populations(p, "red", t, n=0)).max() == 0.0
+        assert np.abs(sideband_populations(p, "red", t)[0]).max() == 0.0
 
     def test_blue_pi_time(self):
         p = single_ion()
         t_pi = p.blue_pi_time()
-        assert abs(sideband_populations(p, "blue", t_pi, n=0) - 1.0) < 1e-12
+        assert abs(sideband_populations(p, "blue", t_pi)[0, 0] - 1.0) < 1e-12
 
     def test_table_shape(self):
         p = single_ion(n_max=12)
         t = np.linspace(0.0, 1e-5, 7)
         tab = sideband_populations(p, "blue", t)
         assert tab.shape == (13, 7)
-
-    def test_fock_index_out_of_range(self):
-        p = single_ion(n_max=5)
-        with pytest.raises(ContractViolation):
-            sideband_populations(p, "blue", [1e-6], n=6)
 
     def test_bad_side_rejected(self):
         with pytest.raises(ContractViolation):
@@ -85,52 +90,43 @@ class TestSidebandBaseCases:
 
 class TestMultiSpin:
     def test_symmetric_matches_dense(self):
+        # equal couplings take the Dicke path; the oracle is the dense
+        # full-space table over all 2^N spin configurations
         mode = com_mode(4, 6)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=4)
         t = np.linspace(0.0, 4.0 * p.blue_pi_time(), 25)
-        dense = sideband_populations(p, "blue", t, symmetric=False)
-        symm = sideband_populations(p, "blue", t, symmetric=True)
+        dense = _reference_table(p, "blue", t, symmetric=False)
+        symm = sideband_populations(p, "blue", t)
         assert np.abs(dense - symm).max() < 1e-10
 
-    def test_symmetric_requires_equal_couplings(self):
-        mode = MotionalMode.from_lab(
-            2.38, n_max=5, b=np.array([0.8, 0.6]))
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=2)
-        with pytest.raises(ContractViolation):
-            sideband_populations(p, "blue", [1e-6], symmetric=True)
-
     def test_dense_capacity_guard(self):
-        # stacked blocks (n_max + 1) * 4^N exceed the entry limit; the
-        # guard must trip before any of it is allocated
+        # unequal couplings take the dense path; stacked blocks
+        # (n_max + 1) * 4^N exceed the entry limit, and the guard must
+        # trip before any of it is allocated
         for n_spins, n_max in ((8, 2000), (8, 1000), (17, 1)):
-            mode = com_mode(n_spins, n_max)
-            p = SidebandParams(mode=mode, rabi=units.mhz(0.5),
-                               n_spins=n_spins)
+            p = unequal_spins(n_spins, n_max)
             with pytest.raises(CapacityError):
-                sideband_populations(p, "blue", [1e-6], symmetric=False)
+                sideband_populations(p, "blue", [1e-6])
 
     def test_default_takes_dicke_path_past_dense_limit(self):
-        # 8 uniform spins: dense blocks are 301 x 256^2 entries, over the
-        # limit, so the default builds 301 Dicke blocks of 9^2 instead
+        # 8 uniform spins: dense blocks would be 301 x 256^2 entries, over
+        # the limit, but equal couplings build 301 Dicke blocks of 9^2
         mode = com_mode(8, 300)
         p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=8)
         t = np.linspace(0.0, 2.0 * p.blue_pi_time(), 7)
-        with pytest.raises(CapacityError):
-            sideband_populations(p, "blue", t, symmetric=False)
         for side in ("red", "blue"):
-            assert np.array_equal(
-                sideband_populations(p, side, t),
-                sideband_populations(p, side, t, symmetric=True))
+            tab = sideband_populations(p, side, t)
+            assert tab.shape == (301, 7)
+            assert np.all(np.isfinite(tab))
 
     def test_dense_build_allocates_blocks_only(self):
         # the full space is 2^6 * 61 = 3904 states, a 122 MB Hamiltonian;
         # the 61 stacked 64 x 64 blocks and their eigenvectors are 4 MB
-        mode = com_mode(6, 60)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=6)
+        p = unequal_spins(6, 60)
         for side in ("red", "blue"):
             tracemalloc.start()
             try:
-                sideband_populations(p, side, [1e-6], symmetric=False)
+                sideband_populations(p, side, [1e-6])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -202,7 +198,7 @@ class TestBlockTables:
     def test_matches_full_space_table(self, case, side):
         p, symmetric = case()
         t = np.linspace(0.0, 4.0 * p.blue_pi_time(), 30)
-        got = sideband_populations(p, side, t, symmetric=symmetric)
+        got = sideband_populations(p, side, t)
         ref = _reference_table(p, side, t, symmetric)
         assert np.abs(got - ref).max() < 1e-12
 
@@ -308,9 +304,10 @@ class TestFitters:
         assert fit_nbar_ratio(0.0, 0.9, p) == 0.0
 
     def test_ratio_above_cap_raises(self):
-        p = single_ion(n_max=30)
+        # the cap is nbar = n_max / 2 = 0.5
+        p = single_ion(n_max=1)
         with pytest.raises(InversionRangeError):
-            fit_nbar_ratio(0.90, 0.95, p, n_cap=0.5)
+            fit_nbar_ratio(0.90, 0.95, p)
 
     def test_trace_and_ratio_agree(self):
         for nbar in (0.1, 1.0, 5.0):
