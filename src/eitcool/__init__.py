@@ -6,6 +6,11 @@ motional modes (cooling), 2D-crystal normal modes (crystal), sideband
 and optical-dipole-force thermometry (thermometry), AC-Stark beam
 calibration (stark), shared numerics (numerics, operators), and a batch
 CLI (cli).
+
+Each scipy routine is imported inside the function that calls it, so
+importing the package (and with it every `eitcool` command) loads numpy
+only: loading scipy's optimize and linalg takes longer than the whole
+computation of a spectrum, sideband or ODF preset.
 """
 
 __version__ = "0.1.0"

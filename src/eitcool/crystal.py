@@ -9,7 +9,6 @@ l = (q^2 / (4 pi eps0 M wz^2))^(1/3) internally.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, root
 
 from . import units
 from .numerics import ContractViolation, eig_hermitian
@@ -17,6 +16,19 @@ from .numerics import ContractViolation, eig_hermitian
 
 class StructureSearchError(RuntimeError):
     pass
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    A module-level function rather than an import inside
+    equilibrium_positions, so that each restart's descent goes through
+    this module's global: the benchmark harness wraps crystal.minimize to
+    count restarts and their iterations.
+    """
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 class PlanarInstabilityError(RuntimeError):
@@ -130,6 +142,8 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
     rng = np.random.default_rng(c.seed)
     best = None
     best_v = np.inf
+    from scipy.optimize import root
+
     for _ in range(n_restarts):
         u = minimize(_potential_and_grad, _hex_seed(n, rng), args=(alpha,),
                      jac=True, hess=_hessian_inplane, method="trust-ncg",

@@ -10,7 +10,6 @@ null-space steady-state solve on small systems.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .numerics import ContractViolation, integrate_ode
 from .operators import DensityMatrix, square_matrix
@@ -106,8 +105,10 @@ class SplitPropagator:
     """
 
     def __init__(self, heff, dt, collapse=()):
+        from scipy.linalg import expm
+
         self.dt = dt
-        self.m1 = sla.expm(-1j * heff * dt)
+        self.m1 = expm(-1j * heff * dt)
         self.m1d = np.ascontiguousarray(self.m1.conj().T)
         self.collapse = [(c, c.conj().T) for c in collapse]
         self.max_trace_correction = 0.0

@@ -11,7 +11,6 @@ in one place.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class ContractViolation(ValueError):
@@ -137,8 +136,6 @@ def integrate_ode(rhs, t_list, y0, rel_tol=1e-8, abs_tol=1e-10):
     y = np.asarray(y0, dtype=complex).ravel()
     if not np.all(np.isfinite(y)):
         raise ContractViolation("initial state must be finite")
-    # imported on first use: loading scipy.integrate at module level adds
-    # about 3 MB and 0.1 s to every import of the package
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(lambda t, yy: rhs(yy), (t_list[0], t_list[-1]), y,
@@ -191,6 +188,8 @@ def fit_least_squares(model, data, p0):
             raise DegenerateFitError(
                 f"singular Jacobian (cond ~ {cond:.3e})", cond)
         return J
+
+    from scipy.optimize import least_squares
 
     # res.jac is jacobian(res.x): least_squares evaluates it once more at
     # the returned parameters, so the singularity check covers them too

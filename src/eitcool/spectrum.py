@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atom4 import collapse_ops, dressed_cubic_coeffs, hamiltonian_rest
+from .atom4 import collapse_ops, hamiltonian_rest
 from .lindblad import LindbladSystem, steadystate
 from .numerics import ContractViolation
 
@@ -28,15 +28,21 @@ def absorption_analytic(p, grid):
     Z = 4 Gamma^2 N^2 + C^2, C the bright-resonance cubic.  The published
     denominator repeats the (D - ds-) factor where the mixed product
     belongs; only the mixed form reduces to |T|^2 of the projected
-    three-level scattering matrix, so that is what is evaluated here.
+    three-level scattering matrix, so that is what is evaluated here,
+    with N cancelled: W = 16 / (4 Gamma^2 + S^2),
+    S = C / N = 4 D - sum Omega_s^2 / (D - ds) over the sigma drives that
+    are on.  At D = ds of a drive that is on, S is infinite and W the
+    exact dark zero; with one drive off W is the single-Lambda profile,
+    with both off the Lorentzian 4 / (Gamma^2 + 4 D^2).
     """
     grid = np.asarray(grid, dtype=float)
-    dsp, dsm = p.delta_sigma_plus, p.delta_sigma_minus
-    num = (grid - dsp) * (grid - dsm)
-    c3, c2, c1, c0 = dressed_cubic_coeffs(p)
-    cubic = ((c3 * grid + c2) * grid + c1) * grid + c0
-    z = 4.0 * p.gamma**2 * num**2 + cubic**2
-    return SpectrumResult(values=16.0 * num**2 / z)
+    s = 4.0 * grid
+    with np.errstate(divide="ignore"):
+        for omega, ds in ((p.omega_sigma_plus, p.delta_sigma_plus),
+                          (p.omega_sigma_minus, p.delta_sigma_minus)):
+            if omega > 0:
+                s = s - omega**2 / (grid - ds)
+    return SpectrumResult(values=16.0 / (4.0 * p.gamma**2 + s**2))
 
 
 def absorption_numeric(p, grid):

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import units
 from .numerics import (ContractViolation, DegenerateFitError, FitResult,
@@ -209,6 +208,8 @@ def _estimate_oscillation(t, y, env, n_best=3):
     idx = idx[np.argsort(costs[idx])][:n_best]
     if idx.size == 0:
         idx = np.array([int(np.argmin(costs))])
+
+    from scipy.optimize import minimize_scalar
 
     return [minimize_scalar(cost, method="bounded",
                             bounds=(grid[max(i - 1, 0)],

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import units
 from .numerics import ContractViolation, FitResult, fit_least_squares
@@ -237,6 +236,8 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None):
         raise InversionRangeError(
             f"ratio {ratio:.3f} exceeds the model at nbar = {n_cap:.1f}; "
             "raise n_max")
+    from scipy.optimize import brentq
+
     return brentq(lambda nbar: model_ratio(nbar) - ratio, 0.0, n_cap,
                   xtol=1e-6)
 

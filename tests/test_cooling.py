@@ -1,5 +1,9 @@
 """Quantized-mode cooling dynamics and scan drivers."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -377,6 +381,34 @@ class TestScanWorkers:
         np.testing.assert_equal(one, two)
         assert not any(r["failed"] for r in one)
         assert one[0]["gamma_cool"] == 0.0
+
+    def test_first_scipy_import_on_worker_threads(self):
+        # a fresh interpreter, so the scan pool's threads are the first
+        # to import scipy.linalg (SplitPropagator's expm)
+        code = """
+import json, sys
+import numpy as np
+from eitcool import cooling, units
+from eitcool.atom4 import EitParams
+p = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
+m = cooling.MotionalMode.from_lab(2.38, n_max=6)
+grid = units.mhz(np.array([3.1, 4.1]))
+before = 'scipy.linalg' in sys.modules
+out = []
+for workers in (2, 1):
+    cooling._workers = lambda: workers
+    _, finals, argmin = cooling.detuning_scan(p, m, grid, 1e-6, nbar0=1.0,
+                                              dt=8e-9)
+    out.append([float(f).hex() for f in finals] + [argmin.hex()])
+print(json.dumps([before] + out))
+"""
+        src = os.path.dirname(os.path.dirname(cooling.__file__))
+        res = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        before, two, one = json.loads(res.stdout)
+        assert not before
+        assert two == one
 
     def test_failed_point_marks_only_its_index(self, monkeypatch):
         _, ref, argmin = self.scan(monkeypatch, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eitcool import crystal
 from eitcool.crystal import (CrystalConfig, PlanarInstabilityError,
                              equilibrium_positions, transverse_modes)
 from eitcool.numerics import ContractViolation
@@ -58,6 +59,23 @@ class TestEquilibrium:
         a = equilibrium_positions(make(5, seed=3))
         b = equilibrium_positions(make(5, seed=3))
         assert np.abs(a - b).max() == 0.0
+
+    def test_each_restart_descends_through_the_module_minimize(
+            self, monkeypatch):
+        # the benchmark harness counts restarts by wrapping
+        # crystal.minimize, so every descent must look the name up there
+        calls, real = [], crystal.minimize
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crystal, "minimize", spy)
+        ref = equilibrium_positions(make(5, seed=3), n_restarts=4)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        assert np.array_equal(
+            ref, equilibrium_positions(make(5, seed=3), n_restarts=4))
 
 
 class TestModes:

@@ -1,5 +1,6 @@
 """Numerical kernel contracts: cubic roots, eigensolver, ODE, fitting."""
 
+import json
 import os
 import subprocess
 import sys
@@ -144,25 +145,60 @@ class TestIntegrateOde:
             integrate_ode(lambda y: y * y, [0.0, 2.0], [1.0])
         assert abs(info.value.t_last - 1.0) < 1e-6
 
-    def test_package_import_leaves_scipy_integrate_unloaded(self):
-        # integrate_ode imports solve_ivp lazily to keep import eitcool light
-        assert not loads_scipy_integrate("eitcool")
 
-    def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # the CLI's start-up cost is what `eitcool run` pays per preset
-        assert not loads_scipy_integrate("eitcool.cli")
+class TestStartUp:
+    """scipy is imported where it is called: the CLI's start-up cost is
+    what `eitcool run` pays per preset, and the spectrum, sideband and
+    ODF kinds never call it.  Each case runs in a fresh interpreter."""
+
+    TINY = {
+        "fig1b": ["params.n_points=12"],
+        "fig5": ["params.n_points=12"],
+        "fig2d": ["params.n_points=20", "params.n_max=10",
+                  "params.t_max_us=10"],
+        "fig4d": ["params.n_points=30"],
+        "fig2b": ["params.t_final_us=4", "params.n_times=2",
+                  "params.n_max=6", "params.dt_ns=8"],
+    }
+
+    @pytest.mark.parametrize("module", ["eitcool", "eitcool.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert scipy_modules_after(f"import {module}") == []
+
+    def test_validate_every_preset_loads_no_scipy(self):
+        code = ("from eitcool import cli\n"
+                "for name in cli.list_presets():\n"
+                "    assert cli.main(['validate', name]) == 0\n")
+        assert scipy_modules_after(code) == []
+
+    @pytest.mark.parametrize("name", ["fig1b", "fig5", "fig2d", "fig4d"])
+    def test_spectrum_sideband_odf_runs_load_no_scipy(self, name, tmp_path):
+        assert scipy_modules_after(self._run(name, tmp_path)) == []
+
+    def test_cooling_run_loads_scipy_linalg_at_its_first_step(self,
+                                                              tmp_path):
+        assert "scipy.linalg" in scipy_modules_after(
+            self._run("fig2b", tmp_path))
+
+    def _run(self, name, tmp_path):
+        argv = ["run", name]
+        for pair in self.TINY[name] + [f"output_dir={tmp_path}"]:
+            argv += ["--set", pair]
+        return ("from eitcool import cli\n"
+                f"assert cli.main({argv!r}) == 0\n")
 
 
-def loads_scipy_integrate(module):
-    """Whether importing module in a fresh interpreter loads
-    scipy.integrate."""
+def scipy_modules_after(code):
+    """Sorted names of the scipy modules loaded once code has run in a
+    fresh interpreter."""
     src = os.path.dirname(os.path.dirname(eitcool.__file__))
-    code = (f"import sys, {module}; "
-            "print('scipy.integrate' in sys.modules)")
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] == 'scipy')))\n")
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, timeout=60,
+                         capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
-    return out.stdout.strip() == "True"
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 class TestFitLeastSquares:

@@ -1,5 +1,7 @@
 """Absorption lineshape: closed form versus steady-state populations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,21 +35,28 @@ class TestAnalytic:
 
     def test_single_lambda_lineshape(self):
         # sigma+ off: the (D - ds+) factor cancels from N and the cubic,
-        # leaving the sigma- / pi Lambda profile
+        # leaving the sigma- / pi Lambda profile, also at D = ds+ exactly
         p = P.replace(omega_sigma_plus=0.0)
-        grid = units.mhz(np.linspace(30.0, 80.0, 400))
+        grid = np.r_[units.mhz(np.linspace(30.0, 80.0, 400)),
+                     p.delta_sigma_plus, p.delta_sigma_minus]
         d = grid - p.delta_sigma_minus
         expected = 16.0 * d**2 / (
             4.0 * p.gamma**2 * d**2
             + (4.0 * grid * d - p.omega_sigma_minus**2)**2)
-        got = absorption_analytic(p, grid).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = absorption_analytic(p, grid).values
         assert np.abs(got - expected).max() < 1e-12 * expected.max()
 
     def test_drives_off_is_lorentzian(self):
+        # also at D = ds+ and ds-, where no drive makes a dark zero
         p = P.replace(omega_sigma_plus=0.0, omega_sigma_minus=0.0)
-        grid = units.mhz(np.linspace(30.0, 80.0, 400))
+        grid = np.r_[units.mhz(np.linspace(30.0, 80.0, 400)),
+                     p.delta_sigma_plus, p.delta_sigma_minus]
         expected = 4.0 / (p.gamma**2 + 4.0 * grid**2)
-        got = absorption_analytic(p, grid).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = absorption_analytic(p, grid).values
         assert np.abs(got - expected).max() < 1e-12 * expected.max()
 
 
