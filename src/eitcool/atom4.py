@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import units
-from .numerics import ContractViolation, eig_hermitian
+from .numerics import ContractViolation
 
 E, PLUS, ZERO, MINUS = 0, 1, 2, 3
 
@@ -120,7 +120,7 @@ def dressed_energies(p):
     Always contains an exact zero (the decoupled |0> level); the other
     three solve the cubic factor of the characteristic equation.
     """
-    vals, _ = eig_hermitian(dressed_hamiltonian(p))
+    vals = np.linalg.eigh(dressed_hamiltonian(p))[0]
     # pin the decoupled-|0> eigenvalue to exactly zero
     i = np.argmin(np.abs(vals))
     vals[i] = 0.0

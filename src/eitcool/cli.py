@@ -123,8 +123,8 @@ SCHEMAS = {
         "omega_minus_mhz": (float, _REQUIRED),
         "omega_pi_mhz": (float, _REQUIRED),
         "delta_mhz": (float, _REQUIRED),
-        "delta_p_mhz": (float, 2105.0),
-        "delta_s_mhz": (float, 12642.812),
+        "delta_p_mhz": (float, units.YB171_P_HYPERFINE_MHZ),
+        "delta_s_mhz": (float, units.YB171_QUBIT_SPLITTING_MHZ),
         "delta_b_mhz": (float, 4.6),
         "gamma_clock": (float, 2e3),
         "gamma_zeeman": (float, 2e3),
@@ -166,6 +166,9 @@ def _coerce(key, value, typ):
             raise ConfigError(
                 f"params.{key}: integer beyond float range") from None
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
+        # every int key is a count or a truncation
+        if value < 1:
+            raise ConfigError(f"params.{key}: must be >= 1, got {value!r}")
         return value
     if typ is bool and isinstance(value, bool):
         return value
@@ -238,19 +241,22 @@ def apply_overrides(raw, pairs):
 def _write_artifact(path, content):
     """Write one artifact to a temp file, renamed onto path once complete.
 
-    A .csv name takes (header, rows) of Python numbers and strings (a
-    float is written as its repr); any other name takes a
-    JSON-serialisable object, written with sorted keys.
+    A .csv name takes (header, columns), one value per row in each
+    column; any other name takes an object written as JSON with sorted
+    keys.  Numpy arrays and scalars in either become Python lists and
+    numbers here, so a float is written as its repr (1.5, never
+    np.float64(1.5)).
     """
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         if path.endswith(".csv"):
-            header, rows = content
+            header, columns = content
             wr = csv.writer(fh)
             wr.writerow(header)
-            wr.writerows(rows)
+            wr.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
         else:
-            json.dump(content, fh, indent=2, sort_keys=True)
+            json.dump(content, fh, indent=2, sort_keys=True,
+                      default=lambda v: v.tolist())
     os.replace(tmp, path)
 
 
@@ -278,12 +284,11 @@ def _run_spectrum(cfg):
     num = spectrum_mod.absorption_numeric(ep, grid) if p["numeric"] else None
     out = {"spectrum.csv": (
         ["delta_pi_MHz", "W_analytic", "rho_ee_numeric"],
-        [(float(units.to_mhz(d)), float(w),
-          "" if num is None else float(num.values[i]))
-         for i, (d, w) in enumerate(zip(grid, ana.values))])}
+        [units.to_mhz(grid), ana.values,
+         [""] * grid.size if num is None else num.values])}
     if num is not None and num.failure_reasons:
         out["failures.json"] = [
-            {"index": i, "delta_pi_MHz": float(units.to_mhz(grid[i])),
+            {"index": i, "delta_pi_MHz": units.to_mhz(grid[i]),
              "error": reason} for i, reason in num.failure_reasons.items()]
     return out
 
@@ -295,9 +300,7 @@ def _run_cool(cfg):
                          p["n_times"]) * 1e-6
     res = simulate_cooling(ep, mode, t_list=t_list, **kw)
     return {
-        "cooling.csv": (["t_us", "nbar"],
-                        [(float(t * 1e6), float(n))
-                         for t, n in zip(res.times, res.nbar)]),
+        "cooling.csv": (["t_us", "nbar"], [res.times * 1e6, res.nbar]),
         "cooling_fit.json": {
             "gamma_cool_per_s": res.gamma_cool,
             "tau_cool_us": res.tau_cool * 1e6,
@@ -319,11 +322,10 @@ def _run_scan_detuning(cfg):
                                    p["n_points"]))
     deltas, finals, argmin = detuning_scan(ep, mode, deltas,
                                            p["t_fix_us"] * 1e-6, **kw)
+    is_argmin = np.isfinite(finals) & (deltas == argmin)
     return {"detuning_scan.csv": (
         ["relative_detuning_mhz", "nbar_final", "is_argmin"],
-        [(float(units.to_mhz(d)), float(n),
-          int(np.isfinite(n) and d == argmin))
-         for d, n in zip(deltas, finals)])}
+        [units.to_mhz(deltas), finals, is_argmin.astype(int)])}
 
 
 def _run_scan_power(cfg):
@@ -332,12 +334,12 @@ def _run_scan_power(cfg):
     rows = power_scan(ep, mode, p["which"], p["powers"],
                       t_final=p["t_final_us"] * 1e-6,
                       n_times=p["n_times"], **kw)
+    power, gamma, n_ss, detuning, failed = (
+        np.array([r[k] for r in rows])
+        for k in ("power", "gamma_cool", "n_ss", "detuning", "failed"))
     return {"power_scan.csv": (
         ["power", "gamma_cool_per_s", "n_ss", "detuning_mhz", "failed"],
-        [(r["power"], float(r["gamma_cool"]), float(r["n_ss"]),
-          float(units.to_mhz(r["detuning"]))
-          if np.isfinite(r["detuning"]) else float("nan"),
-          int(r["failed"])) for r in rows])}
+        [power, gamma, n_ss, units.to_mhz(detuning), failed.astype(int)])}
 
 
 def _run_modes(cfg):
@@ -357,30 +359,26 @@ def _run_modes(cfg):
         "trap_mhz": {k: units.to_mhz(getattr(c, k))
                      for k in ("omega_x", "omega_y", "omega_z")},
         "mass_kg": c.mass,
-        "positions_um": (modes.positions * 1e6).tolist(),
-        "mode_frequencies_mhz": [float(units.to_mhz(f))
-                                 for f in modes.frequencies],
-        "participation_matrix": modes.b_matrix.tolist(),
+        "positions_um": modes.positions * 1e6,
+        "mode_frequencies_mhz": units.to_mhz(modes.frequencies),
+        "participation_matrix": modes.b_matrix,
     }}
 
 
 def _run_sideband(cfg):
     p = cfg.params
+    n = p["n_spins"]
     mode = MotionalMode.from_lab(p["nu_mhz"], n_max=p["n_max"],
-                                 b=None if p["n_spins"] == 1 else
-                                 np.full(p["n_spins"],
-                                         1.0 / np.sqrt(p["n_spins"])))
-    sp = thermo_mod.SidebandParams(mode=mode,
-                                   rabi=units.mhz(p["rabi_mhz"]),
-                                   n_spins=p["n_spins"])
+                                 b=np.full(n, 1.0 / np.sqrt(n)))
+    sp = thermo_mod.SidebandParams(mode=mode, rabi=units.mhz(p["rabi_mhz"]))
     t = np.linspace(0.0, p["t_max_us"] * 1e-6, p["n_points"])
     table = thermo_mod.sideband_populations(sp, p["side"], t)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         trace = thermo_mod.thermal_average(table, p["nbar"])
-    return {"sideband.csv": (
-        ["t_us", "P_up"],
-        [(float(ti * 1e6), float(v)) for ti, v in zip(t, trace)])}
+    # thermal_average returns a float for a one-time table
+    return {"sideband.csv": (["t_us", "P_up"],
+                             [t * 1e6, np.atleast_1d(trace)])}
 
 
 def _run_odf(cfg):
@@ -395,10 +393,8 @@ def _run_odf(cfg):
         rabi=units.mhz(p["rabi_mhz"]), mu_r=w + 2.0 * np.pi * phis / tau,
         tau=tau, tau_pi=p["tau_pi_us"] * 1e-6, gamma_d=p["gamma_d"])
     pu = thermo_mod.odf_signal(o, mode, [p["nbar"]])[:, 0]
-    return {"odf_spectrum.csv": (
-        ["phi_over_2pi", "mu_R_MHz", "P_up"],
-        list(zip(phis.tolist(), units.to_mhz(o.mu_r).tolist(),
-                 pu.tolist())))}
+    return {"odf_spectrum.csv": (["phi_over_2pi", "mu_R_MHz", "P_up"],
+                                 [phis, units.to_mhz(o.mu_r), pu])}
 
 
 def _run_stark(cfg):
@@ -413,8 +409,7 @@ def _run_stark(cfg):
     out = {
         "ramsey.csv": (
             ["t_us", "P_clock", "P_zeeman_plus", "P_zeeman_minus"],
-            [(float(ti * 1e6), float(a), float(b), float(c))
-             for ti, a, b, c in zip(t, *traces)]),
+            [t * 1e6, *traces]),
         "stark_shifts.json": {
             "clock_shift_mhz": units.to_mhz(stark_mod.clock_shift(sp)),
             "zeeman_plus_shift_mhz":
@@ -429,18 +424,18 @@ def _run_stark(cfg):
                            omega_pi=sp.omega_pi * 1.05)
         fr = stark_mod.fit_rabi_components(
             [(t, y) for y in traces], guess)
+        omega = units.to_mhz(fr.params)
         out["stark_fit.json"] = {
-            "omega_plus_mhz": float(units.to_mhz(fr.params[0])),
-            "omega_minus_mhz": float(units.to_mhz(fr.params[1])),
-            "omega_pi_mhz": float(units.to_mhz(fr.params[2])),
-            "sigma_mhz": [float(units.to_mhz(s)) for s in fr.sigma],
-            "converged": bool(fr.converged),
-            "wide_sigma": bool(fr.wide_sigma),
-            "b_field_alignment": float(
-                stark_mod.b_field_alignment(fr.params)),
-            "delta_mhz": float(units.to_mhz(sp.delta)),
-            "delta_p_mhz": float(units.to_mhz(sp.delta_p)),
-            "delta_s_mhz": float(units.to_mhz(sp.delta_s)),
+            "omega_plus_mhz": omega[0],
+            "omega_minus_mhz": omega[1],
+            "omega_pi_mhz": omega[2],
+            "sigma_mhz": units.to_mhz(fr.sigma),
+            "converged": fr.converged,
+            "wide_sigma": fr.wide_sigma,
+            "b_field_alignment": stark_mod.b_field_alignment(fr.params),
+            "delta_mhz": units.to_mhz(sp.delta),
+            "delta_p_mhz": units.to_mhz(sp.delta_p),
+            "delta_s_mhz": units.to_mhz(sp.delta_s),
         }
     return out
 

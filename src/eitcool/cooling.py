@@ -68,11 +68,11 @@ class CoolingResult:
     gamma_cool: float              # 1/e rate, 1/s
     tau_cool: float                # 1/e time, s
     n_ss: float                    # fitted limit, clamped to >= 0
-    fit_converged: bool = True
-    truncation_flagged: bool = False
-    top_fock_population: float = 0.0
-    max_trace_correction: float = 0.0   # largest |tr - 1| renormalised away
-    n_ss_raw: float = np.nan       # fitted limit before the clamp
+    fit_converged: bool
+    truncation_flagged: bool
+    top_fock_population: float
+    max_trace_correction: float    # largest |tr - 1| renormalised away
+    n_ss_raw: float                # fitted limit before the clamp
 
 
 class AllPointsFailedError(RuntimeError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .numerics import ContractViolation, eig_hermitian
+from .numerics import ContractViolation
 
 
 class StructureSearchError(RuntimeError):
@@ -169,11 +169,11 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
 
 def _projector_basis(v):
     """Orthonormal basis of the span of v's orthonormal columns that
-    depends only on the projector P = v v^dag: Gram-Schmidt of the
+    depends only on the projector P = v v^T: Gram-Schmidt of the
     projected unit vectors P e_i in ion order, skipping residuals below
     1e-6 (ions that take no part by symmetry)."""
     basis = []
-    for r in (v @ v.conj().T).real.T:
+    for r in (v @ v.T).T:
         r = r - sum((u @ r) * u for u in basis)
         if np.linalg.norm(r) > 1e-6:
             basis.append(r / np.linalg.norm(r))
@@ -192,24 +192,21 @@ def transverse_modes(c, positions):
     if n != c.n_ions:
         raise ContractViolation("positions do not match ion count")
     # re-check the equilibrium condition
-    if n > 1:
-        u = np.concatenate([pos[:, 0], pos[:, 1]]) / c.length_scale
-        _, g = _potential_and_grad(u, (c.omega_x / c.omega_z)**2)
-        if np.abs(g).max() > 1e-8:
-            raise ContractViolation(
-                f"positions are not an equilibrium (|grad| = "
-                f"{np.abs(g).max():.3e})")
+    u = np.concatenate([pos[:, 0], pos[:, 1]]) / c.length_scale
+    _, g = _potential_and_grad(u, (c.omega_x / c.omega_z)**2)
+    if np.abs(g).max() > 1e-8:
+        raise ContractViolation(
+            f"positions are not an equilibrium (|grad| = "
+            f"{np.abs(g).max():.3e})")
     kq = units.COULOMB_K / c.mass
-    K = np.full((n, n), 0.0)
-    if n > 1:
-        d = pos[:, None, :] - pos[None, :, :]
-        r = np.sqrt((d * d).sum(axis=2))
-        np.fill_diagonal(r, np.inf)
-        inv3 = 1.0 / r**3
-        K = kq * inv3
-        np.fill_diagonal(K, -kq * inv3.sum(axis=1))
+    d = pos[:, None, :] - pos[None, :, :]
+    r = np.sqrt((d * d).sum(axis=2))
+    np.fill_diagonal(r, np.inf)
+    inv3 = 1.0 / r**3
+    K = kq * inv3
+    np.fill_diagonal(K, -kq * inv3.sum(axis=1))
     K += c.omega_y**2 * np.eye(n)
-    w2, b = eig_hermitian(K)
+    w2, b = np.linalg.eigh(K)
     if w2[0] <= 0:
         raise PlanarInstabilityError(
             f"planar crystal unstable: mode 0 has omega^2 = {w2[0]:.3e}",
@@ -221,7 +218,6 @@ def transverse_modes(c, positions):
     for group in np.split(np.arange(n), split):
         if group.size > 1:
             b[:, group] = _projector_basis(b[:, group])
-    b = np.real(b)
     # sign convention: the first ion whose |b| is within 1e-9 relative of
     # the column maximum is positive; symmetric crystals have near-tied
     # maxima, and a plain argmax would pick between them by rounding
@@ -230,4 +226,4 @@ def transverse_modes(c, positions):
     b *= np.sign(b[first, np.arange(n)])
     return ModeDecomposition(frequencies=np.sqrt(w2), b_matrix=b,
                              positions=pos,
-                             hessian_trace=float(np.trace(K).real))
+                             hessian_trace=float(np.trace(K)))

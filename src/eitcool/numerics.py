@@ -1,10 +1,10 @@
-"""Shared numerical kernels: Hermitian eigensolver, real cubic roots,
-adaptive ODE integration (scipy's RK45 behind the StiffnessError
-contract), and MINPACK Levenberg-Marquardt least squares
-(scipy's least_squares behind the DegenerateFitError / sigma contract).
+"""Shared numerical kernels: real cubic roots, adaptive ODE integration
+(scipy's RK45 behind the StiffnessError contract), and MINPACK
+Levenberg-Marquardt least squares (scipy's least_squares behind the
+DegenerateFitError / sigma contract).
 
 Everything downstream (spectra, cooling, thermometry, calibration fits)
-funnels through these four entry points so the tolerance contracts live
+funnels through these three entry points so the tolerance contracts live
 in one place.
 """
 
@@ -44,28 +44,6 @@ class FitResult:
     residual_norm: float
     converged: bool
     n_iter: int
-
-
-def eig_hermitian(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  The input
-    must be Hermitian to 1e-10 relative to its largest entry; it is
-    symmetrized before factorization so the contract
-    ``M v = lambda v`` holds to 1e-9 * ||M||.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"matrix must be square, got {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    asym = np.abs(m - m.conj().T).max()
-    if asym > 1e-10 * scale:
-        raise ContractViolation(
-            f"matrix is not Hermitian: |M - M^dag|_max = {asym:.3e} "
-            f"(limit {1e-10 * scale:.3e})")
-    m = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
 
 
 def solve_cubic_real(c3, c2, c1, c0):

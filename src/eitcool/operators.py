@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ContractViolation, eig_hermitian
+from .numerics import ContractViolation
 
 
 class TruncationWarning(UserWarning):
@@ -98,5 +98,5 @@ def displacement_exp(fock, eta):
             f"|eta| sqrt(n_max) = {abs(eta) * np.sqrt(fock.n_max):.3f} "
             "violates the truncation precondition")
     x = fock.a + fock.a_dagger
-    vals, vecs = eig_hermitian(x)
+    vals, vecs = np.linalg.eigh(x)
     return (vecs * np.exp(1j * eta * vals)) @ vecs.conj().T

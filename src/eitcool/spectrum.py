@@ -11,7 +11,6 @@ import numpy as np
 
 from .atom4 import collapse_ops, hamiltonian_rest
 from .lindblad import LindbladSystem, steadystate
-from .numerics import ContractViolation
 
 
 @dataclass
@@ -54,8 +53,6 @@ def absorption_numeric(p, grid):
     of being dropped, with repr(exc) kept in failure_reasons under its
     index.  Any other exception propagates.
     """
-    if p.omega_pi <= 0:
-        raise ContractViolation("probe must be on (omega_pi > 0)")
     grid = np.asarray(grid, dtype=float)
     cops = collapse_ops(p)
     values = np.empty(grid.size)

@@ -7,14 +7,14 @@ measured Ramsey data.  Any constant prefactor of the shift formulas is
 absorbed into the fitted Rabi scale.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import units
-from .numerics import (ContractViolation, DegenerateFitError, FitResult,
-                       fit_least_squares)
+from .numerics import ContractViolation, DegenerateFitError, fit_least_squares
 
 GUARD_BAND = units.mhz(0.5)     # minimum distance to any denominator zero
 
@@ -31,15 +31,16 @@ class StarkParams:
     omega_minus: float
     omega_pi: float
     delta: float                   # beam detuning, rad/s
-    delta_p: float = units.mhz(2105.0)            # P hyperfine splitting
-    delta_s: float = 2.0 * np.pi * units.YB171_QUBIT_SPLITTING_GHZ * 1e9
-    delta_b: float = 0.0           # Zeeman splitting, rad/s
-    gamma_clock: float = 0.0       # clock envelope rate constant, 1/s
-    gamma_zeeman: float = 0.0      # Zeeman envelope rate constant, 1/s
+    delta_p: float                 # P hyperfine splitting, rad/s
+    delta_s: float                 # qubit splitting, rad/s
+    delta_b: float                 # Zeeman splitting, rad/s
+    gamma_clock: float             # clock envelope rate constant, 1/s
+    gamma_zeeman: float            # Zeeman envelope rate constant, 1/s
 
     @classmethod
     def from_mhz(cls, omega_plus, omega_minus, omega_pi, delta,
-                 delta_p=2105.0, delta_s=12642.812, delta_b=0.0,
+                 delta_p=units.YB171_P_HYPERFINE_MHZ,
+                 delta_s=units.YB171_QUBIT_SPLITTING_MHZ, delta_b=0.0,
                  gamma_clock=0.0, gamma_zeeman=0.0):
         return cls(omega_plus=units.mhz(omega_plus),
                    omega_minus=units.mhz(omega_minus),
@@ -237,43 +238,36 @@ def fit_rabi_components(traces, p0):
     if len(items) != 3:
         raise ContractViolation("need exactly three traces "
                                 "(clock, zeeman+, zeeman-)")
-    t_all, y_all, tags = [], [], []
-    for q, (t, y) in zip(QUBITS, items):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t_all.append(t)
-        y_all.append(y)
-        tags.append(np.full(t.size, QUBITS.index(q)))
-    x = np.arange(sum(t.size for t in t_all), dtype=float)
+    t_all = [np.asarray(t, dtype=float) for t, _ in items]
+    y_all = [np.asarray(y, dtype=float) for _, y in items]
     t_cat = np.concatenate(t_all)
-    tag_cat = np.concatenate(tags)
     y_cat = np.concatenate(y_all)
+    tag_cat = np.repeat(np.arange(len(QUBITS)), [t.size for t in t_all])
     sig = np.ones_like(y_cat)
 
     # detuning-only rows, fixed by p0; the fit varies only x
     mat, decay = map(np.array, zip(*(_coefficients(p0, q) for q in QUBITS)))
 
-    def model(_x, pr):
+    def model(t, pr):
         sq = pr * pr
-        return (np.sin((mat @ sq)[tag_cat] * t_cat)**2
-                * np.exp(-(decay @ sq)[tag_cat] * t_cat))
+        return (np.sin((mat @ sq)[tag_cat] * t)**2
+                * np.exp(-(decay @ sq)[tag_cat] * t))
 
-    # frequency bootstrap: |shift| per trace with envelopes from p0
+    # frequency bootstrap: |shift| per trace with envelopes from p0; every
+    # (frequency triple, sign pattern) seed is one column of a single
+    # solve, since mat does not depend on the seed
     w_est = [_estimate_oscillation(t, y, np.exp(-_rates(p0, q)[1] * t))
              for q, t, y in zip(QUBITS, t_all, y_all)]
-    candidates = []
-    for w0 in w_est[0]:
-        for w1 in w_est[1]:
-            for w2 in w_est[2]:
-                freqs = np.array([w0, w1, w2])
-                for signs in ((s0, s1, s2) for s0 in (1, -1)
-                              for s1 in (1, -1) for s2 in (1, -1)):
-                    try:
-                        sq = np.linalg.solve(mat, np.array(signs) * freqs)
-                    except np.linalg.LinAlgError:
-                        continue
-                    if np.all(sq > -1e-6 * max(np.abs(sq).max(), 1.0)):
-                        candidates.append(np.sqrt(np.clip(sq, 0.0, None)))
+    freqs = np.array(list(itertools.product(*w_est)))
+    signs = np.array(list(itertools.product((1, -1), repeat=3)))
+    rhs = (freqs[:, None, :] * signs).reshape(-1, 3)
+    try:
+        sq = np.linalg.solve(mat, rhs.T).T
+    except np.linalg.LinAlgError:
+        sq = np.empty((0, 3))
+    keep = np.all(sq > -1e-6 * np.maximum(
+        np.abs(sq).max(axis=1, keepdims=True), 1.0), axis=1)
+    candidates = list(np.sqrt(np.clip(sq[keep], 0.0, None)))
     candidates.append(np.array([p0.omega_plus, p0.omega_minus, p0.omega_pi]))
 
     best = last_error = None
@@ -283,7 +277,7 @@ def fit_rabi_components(traces, p0):
             continue
         seen.append(np.asarray(guess, dtype=float))
         try:
-            fr = fit_least_squares(model, (x, y_cat, sig), guess)
+            fr = fit_least_squares(model, (t_cat, y_cat, sig), guess)
         except DegenerateFitError as exc:
             last_error = exc
             continue
@@ -293,14 +287,9 @@ def fit_rabi_components(traces, p0):
             break
     if best is None:
         raise ContractViolation("no fit candidate converged") from last_error
-    fr = best
-    params = np.abs(fr.params)
-    wide = bool(np.any(fr.sigma > WIDE_SIGMA_FRACTION
-                       * np.maximum(params, 1e-300)))
-    res = FitResult(params=params, sigma=fr.sigma,
-                    residual_norm=fr.residual_norm,
-                    converged=fr.converged, n_iter=fr.n_iter)
-    res.wide_sigma = wide
+    res = replace(best, params=np.abs(best.params))
+    res.wide_sigma = bool(np.any(res.sigma > WIDE_SIGMA_FRACTION
+                                 * np.maximum(res.params, 1e-300)))
     return res
 
 

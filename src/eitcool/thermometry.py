@@ -38,25 +38,27 @@ BLOCK_ENTRY_LIMIT = 2**24          # stacked (n_max + 1) * C^2 floats
 class SidebandParams:
     """Raman sideband drive addressing one motional mode.
 
-    rabi holds the per-ion carrier Rabi frequencies Omega_j (rad/s); the
-    effective sideband coupling of ion j is eta_m * b_j * Omega_j with
-    eta_m the mode's Lamb-Dicke parameter.
+    rabi holds the per-ion carrier Rabi frequencies Omega_j (rad/s), one
+    per entry of the mode's participation vector b, or one value for all
+    of them; the effective sideband coupling of ion j is
+    eta_m * b_j * Omega_j with eta_m the mode's Lamb-Dicke parameter.
     """
     mode: object                   # MotionalMode (cooling.MotionalMode)
     rabi: np.ndarray               # per-ion Omega_j, rad/s
-    n_spins: int = 1
 
     def __post_init__(self):
         self.rabi = np.atleast_1d(np.asarray(self.rabi, dtype=float))
-        if self.rabi.size == 1 and self.n_spins > 1:
+        if self.rabi.size == 1:
             self.rabi = np.full(self.n_spins, self.rabi[0])
         if self.rabi.size != self.n_spins:
             raise ContractViolation("need one Rabi frequency per spin")
         if np.any(self.rabi < 0):
             raise ContractViolation("rabi must be >= 0")
-        if self.mode.b.size != self.n_spins:
-            raise ContractViolation(
-                "mode participation vector does not match n_spins")
+
+    @property
+    def n_spins(self):
+        """Number of addressed ions, fixed by the mode's participation."""
+        return self.mode.b.size
 
     @property
     def couplings(self):
@@ -64,9 +66,9 @@ class SidebandParams:
         return self.mode.eta * self.mode.b * self.rabi
 
     def blue_pi_time(self):
-        """pi time of the n = 0 blue flop for the first addressed ion."""
-        g = self.couplings
-        g0 = g[np.argmax(np.abs(g))]
+        """pi time of the n = 0 blue flop for the most strongly coupled
+        ion, pi / max_j |g_j|; positive whatever the sign of b_j."""
+        g0 = np.abs(self.couplings).max()
         if g0 == 0:
             raise ContractViolation("all sideband couplings are zero")
         return np.pi / g0
@@ -179,8 +181,7 @@ def fit_nbar_trace(data, p):
         sig = np.ones_like(y)
     else:
         t, y, sig = (np.asarray(v, float) for v in data)
-    g0 = max(np.abs(p.couplings))
-    if t.max() * g0 < np.pi:
+    if t.max() < p.blue_pi_time():
         raise ContractViolation("trace must span at least one pi time")
     model = _SidebandModel(p, "blue")
 

@@ -17,7 +17,8 @@ AMU = 1.66053907e-27        # kg
 YB171_MASS_AMU = 170.936332
 YB171_S_P_WAVELENGTH_NM = 369.5
 YB171_GAMMA_MHZ = 19.6          # P1/2 natural linewidth / 2pi
-YB171_QUBIT_SPLITTING_GHZ = 12.642812
+YB171_P_HYPERFINE_MHZ = 2105.0  # P1/2 hyperfine splitting
+YB171_QUBIT_SPLITTING_MHZ = 12642.812  # S1/2 hyperfine (clock) splitting
 
 COULOMB_K = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * EPSILON_0)
 

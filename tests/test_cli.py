@@ -170,6 +170,34 @@ class TestArtifacts:
         assert abs(data["omega_pi_mhz"] - 1.72) < 0.01
         assert isinstance(data["wide_sigma"], bool)
 
+    def test_single_point_sideband_csv(self, tmp_path):
+        code, _ = cli.run("fig2d", ["params.n_points=1",
+                                    f"output_dir={tmp_path}"])
+        assert code == 0
+        assert read_csv(tmp_path / "sideband.csv") == [["t_us", "P_up"],
+                                                       ["0.0", "0.0"]]
+
+    def test_writer_converts_numpy_values(self, tmp_path):
+        path = str(tmp_path / "table.csv")
+        cli._write_artifact(path, (["x", "k", "s"],
+                                   [np.array([1.5, 2.0]), np.arange(2),
+                                    ["", ""]]))
+        assert read_csv(path) == [["x", "k", "s"], ["1.5", "0", ""],
+                                  ["2.0", "1", ""]]
+        path = str(tmp_path / "values.json")
+        cli._write_artifact(path, {"flag": np.bool_(True),
+                                   "count": np.int64(3),
+                                   "value": np.float64(1.5),
+                                   "matrix": np.eye(2)})
+        with open(path) as fh:
+            text = fh.read()
+        assert "np." not in text
+        data = json.loads(text)
+        assert data["flag"] is True
+        assert data["count"] == 3 and isinstance(data["count"], int)
+        assert data["value"] == 1.5
+        assert data["matrix"] == [[1.0, 0.0], [0.0, 1.0]]
+
 
 class TestValidation:
     def test_unknown_param_named(self, tmp_path, capsys):
@@ -241,6 +269,15 @@ class TestValidation:
         # plain ValueError; the text is kept and fails the type check
         pytest.param("fig2b", f"params.dt_ns={'9' * 5000}", "params.dt_ns",
                      id="fig2b-dt_ns-5000-digit-int"),
+        # every int key is a count or a truncation, so at least 1
+        ("fig2b", "params.n_times=0", "params.n_times"),
+        ("fig2d", "params.n_points=0", "params.n_points"),
+        ("fig2e", "params.n_points=0", "params.n_points"),
+        ("fig1b", "params.n_points=-3", "params.n_points"),
+        ("fig4", "params.n_ions=0", "params.n_ions"),
+        ("fig2b", "params.n_max=-1", "params.n_max"),
+        ("fig2b", "params.n_max=0", "params.n_max"),
+        ("fig2d", "params.n_spins=0", "params.n_spins"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):
@@ -294,12 +331,12 @@ class TestOverrides:
 
 class TestFailurePaths:
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # probe off makes the steady-state sweep unsolvable
+        # a transverse trap this weak cannot hold the 12-ion plane
         code, artifacts = cli.run(
-            "fig5", ["params.omega_pi_mhz=0", "params.n_points=4",
-                     f"output_dir={tmp_path}"])
+            "fig4", ["params.omega_y_mhz=0.2", f"output_dir={tmp_path}"])
         assert code == 2 and artifacts == []
-        assert "numerical failure" in capsys.readouterr().err
+        assert "PlanarInstabilityError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_fit_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def broken_fit(*args, **kwargs):
@@ -352,6 +389,19 @@ class TestFailurePaths:
         w = np.array([float(r["W_analytic"]) for r in rows])
         assert np.abs(rho).max() < 1e-12
         assert np.all(np.isfinite(w)) and w.max() > 0.0
+
+    def test_probe_off_spectrum(self, tmp_path):
+        # probe off: |0> is dark and no beam re-excites it, so the steady
+        # state is unique and empty of excitation
+        code, artifacts = cli.run(
+            "fig5", ["params.omega_pi_mhz=0", "params.n_points=12",
+                     f"output_dir={tmp_path}"])
+        assert code == 0
+        assert not (tmp_path / "failures.json").exists()
+        with open(tmp_path / "spectrum.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        rho = np.array([float(r["rho_ee_numeric"]) for r in rows])
+        assert len(rho) == 12 and np.abs(rho).max() < 1e-12
 
     def test_drives_off_lists_every_point(self, tmp_path):
         # probe only: |+> and |-> are both dark, so no point has a unique

@@ -84,6 +84,8 @@ class TestModes:
         modes = transverse_modes(c, equilibrium_positions(c))
         assert modes.frequencies.size == 1
         assert abs(modes.frequencies[0] - c.omega_y) < 1e-9 * c.omega_y
+        assert modes.b_matrix.tolist() == [[1.0]]
+        assert modes.hessian_trace == c.omega_y**2
 
     def test_com_mode_exact(self):
         c = make(5)

@@ -1,4 +1,4 @@
-"""Numerical kernel contracts: cubic roots, eigensolver, ODE, fitting."""
+"""Numerical kernel contracts: cubic roots, ODE, fitting."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import pytest
 import eitcool
 from eitcool.numerics import (ContractViolation, DegenerateFitError,
                               DegenerateOrderError, StiffnessError,
-                              eig_hermitian, fit_least_squares, integrate_ode,
+                              fit_least_squares, integrate_ode,
                               solve_cubic_real)
 
 
@@ -68,34 +68,6 @@ class TestCubic:
             for x in roots:
                 val = ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
                 assert abs(val) < 1e-7 * scale * max(1.0, abs(x))**3
-
-
-class TestEigHermitian:
-    def test_eigen_contract(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            m = a + a.conj().T
-            vals, vecs = eig_hermitian(m)
-            assert np.all(np.diff(vals) >= 0)
-            resid = np.abs(m @ vecs - vecs * vals).max()
-            assert resid < 1e-9 * max(np.abs(m).max(), 1.0) * 10
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ContractViolation):
-            eig_hermitian(m)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ContractViolation):
-            eig_hermitian(np.zeros((2, 3)))
-
-    def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8))
-        m = a + a.T
-        _, vecs = eig_hermitian(m)
-        assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() < 1e-12
 
 
 class TestIntegrateOde:

@@ -42,8 +42,7 @@ def unequal_spins(n_spins, n_max):
     """COM-mode register whose Rabi frequencies differ from ion to ion,
     so its couplings are unequal and the table takes the dense path."""
     return SidebandParams(mode=com_mode(n_spins, n_max),
-                          rabi=units.mhz(np.linspace(0.4, 0.6, n_spins)),
-                          n_spins=n_spins)
+                          rabi=units.mhz(np.linspace(0.4, 0.6, n_spins)))
 
 
 class TestSidebandBaseCases:
@@ -77,6 +76,15 @@ class TestSidebandBaseCases:
         t_pi = p.blue_pi_time()
         assert abs(sideband_populations(p, "blue", t_pi)[0, 0] - 1.0) < 1e-12
 
+    def test_blue_pi_time_ignores_participation_sign(self):
+        # modes whose largest participation entry is negative (non-COM
+        # modes of a lattice) flop exactly like their sign-flipped twin
+        times = [SidebandParams(mode=MotionalMode.from_lab(2.38, n_max=30,
+                                                           b=[sign]),
+                                rabi=units.mhz(0.5)).blue_pi_time()
+                 for sign in (1.0, -1.0)]
+        assert times[0] > 0.0 and times[0] == times[1]
+
     def test_table_shape(self):
         p = single_ion(n_max=12)
         t = np.linspace(0.0, 1e-5, 7)
@@ -93,7 +101,7 @@ class TestMultiSpin:
         # equal couplings take the Dicke path; the oracle is the dense
         # full-space table over all 2^N spin configurations
         mode = com_mode(4, 6)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=4)
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5))
         t = np.linspace(0.0, 4.0 * p.blue_pi_time(), 25)
         dense = _reference_table(p, "blue", t, symmetric=False)
         symm = sideband_populations(p, "blue", t)
@@ -112,7 +120,7 @@ class TestMultiSpin:
         # 8 uniform spins: dense blocks would be 301 x 256^2 entries, over
         # the limit, but equal couplings build 301 Dicke blocks of 9^2
         mode = com_mode(8, 300)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=8)
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5))
         t = np.linspace(0.0, 2.0 * p.blue_pi_time(), 7)
         for side in ("red", "blue"):
             tab = sideband_populations(p, side, t)
@@ -133,10 +141,17 @@ class TestMultiSpin:
             assert peak < 16e6
 
     def test_rabi_broadcast(self):
+        # the mode's participation vector fixes the spin count
         mode = com_mode(3, 4)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=3)
-        assert p.rabi.size == 3
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5))
+        assert p.n_spins == 3
+        assert np.all(p.rabi == units.mhz(0.5)) and p.rabi.size == 3
         assert np.ptp(p.couplings) < 1e-12 * p.couplings[0]
+
+    def test_rabi_count_must_match_mode(self):
+        with pytest.raises(ContractViolation):
+            SidebandParams(mode=com_mode(3, 4),
+                           rabi=units.mhz(np.array([0.5, 0.4])))
 
 
 def _reference_table(p, side, t, symmetric):
@@ -182,13 +197,13 @@ def _one_ion():
 def _three_unequal():
     mode = MotionalMode.from_lab(2.38, n_max=10,
                                  b=np.array([0.6, 0.64, 0.48]))
-    return SidebandParams(mode=mode, rabi=units.mhz(np.array([0.5, 0.4, 0.3])),
-                          n_spins=3), False
+    return SidebandParams(mode=mode,
+                          rabi=units.mhz(np.array([0.5, 0.4, 0.3]))), False
 
 
 def _ten_symmetric():
     mode = com_mode(10, 20)
-    return SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=10), True
+    return SidebandParams(mode=mode, rabi=units.mhz(0.5)), True
 
 
 class TestBlockTables:
@@ -330,7 +345,7 @@ class TestFitters:
 
     def test_dicke_com_ratio_inversion(self):
         mode = com_mode(12, 30)
-        p = SidebandParams(mode=mode, rabi=units.mhz(0.5), n_spins=12)
+        p = SidebandParams(mode=mode, rabi=units.mhz(0.5))
         t = p.blue_pi_time()
         nbar = 1.04
         with warnings.catch_warnings():
