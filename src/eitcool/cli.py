@@ -10,6 +10,7 @@ traced back to an exact input.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -238,8 +239,8 @@ def apply_overrides(raw, pairs):
     return raw
 
 
-def _write_artifact(path, content):
-    """Write one artifact to a temp file, renamed onto path once complete.
+def _artifact_text(name, content):
+    """One artifact as the text of its file.
 
     A .csv name takes (header, columns), one value per row in each
     column; any other name takes an object written as JSON with sorted
@@ -247,17 +248,15 @@ def _write_artifact(path, content):
     numbers here, so a float is written as its repr (1.5, never
     np.float64(1.5)).
     """
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        if path.endswith(".csv"):
-            header, columns = content
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            wr.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-        else:
-            json.dump(content, fh, indent=2, sort_keys=True,
+    if name.endswith(".csv"):
+        header, columns = content
+        buf = io.StringIO()
+        wr = csv.writer(buf)
+        wr.writerow(header)
+        wr.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        return buf.getvalue()
+    return json.dumps(content, indent=2, sort_keys=True,
                       default=lambda v: v.tolist())
-    os.replace(tmp, path)
 
 
 def _eit_params(p):
@@ -376,9 +375,7 @@ def _run_sideband(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         trace = thermo_mod.thermal_average(table, p["nbar"])
-    # thermal_average returns a float for a one-time table
-    return {"sideband.csv": (["t_us", "P_up"],
-                             [t * 1e6, np.atleast_1d(trace)])}
+    return {"sideband.csv": (["t_us", "P_up"], [t * 1e6, trace])}
 
 
 def _run_odf(cfg):
@@ -487,8 +484,11 @@ def _load_config(config_path, overrides):
 def run(config_path, overrides=()):
     """Execute one config; returns (exit_code, artifact_paths).
 
-    Nothing is written unless the runner returns: a config error exits 1
-    and a numerical failure exits 2, both with no artifacts.
+    Nothing is written unless the runner returns and every artifact,
+    the manifest included, converts to text: a config error exits 1,
+    and a numerical failure or an artifact that cannot be written as
+    text exits 2, all with no artifacts.  Each file is written to a temp
+    file and renamed onto its path once complete.
     """
     t0 = time.monotonic()
     cfg = _load_config(config_path, overrides)
@@ -512,10 +512,21 @@ def run(config_path, overrides=()):
         "artifacts": list(artifacts),
         "scan_workers": cooling_mod._workers(),
     }
+    try:
+        texts = {name: _artifact_text(name, content)
+                 for name, content in artifacts.items()}
+    except Exception as exc:
+        print(f"artifact failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2, []
     os.makedirs(cfg.output_dir, exist_ok=True)
-    paths = [os.path.join(cfg.output_dir, name) for name in artifacts]
-    for path, content in zip(paths, artifacts.values()):
-        _write_artifact(path, content)
+    paths = []
+    for name, text in texts.items():
+        path = os.path.join(cfg.output_dir, name)
+        with open(path + ".tmp", "w", newline="") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+        paths.append(path)
     return 0, paths
 
 

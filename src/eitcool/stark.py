@@ -193,7 +193,7 @@ def _estimate_oscillation(t, y, env, n_best=3):
     is roughly right.
     """
     t = np.asarray(t, dtype=float)
-    dt = np.min(np.diff(np.sort(t)))
+    dt = np.min(np.diff(np.unique(t)))
     w_max = 0.9 * np.pi / dt
     n_grid = max(8 * t.size, 512)
     grid = np.linspace(0.0, w_max, n_grid)
@@ -239,6 +239,8 @@ def fit_rabi_components(traces, p0):
         raise ContractViolation("need exactly three traces "
                                 "(clock, zeeman+, zeeman-)")
     t_all = [np.asarray(t, dtype=float) for t, _ in items]
+    if any(np.unique(t).size < 2 for t in t_all):
+        raise ContractViolation("each trace needs at least 2 distinct times")
     y_all = [np.asarray(y, dtype=float) for _, y in items]
     t_cat = np.concatenate(t_all)
     y_cat = np.concatenate(y_all)

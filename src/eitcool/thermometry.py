@@ -150,7 +150,7 @@ def sideband_populations(p, side, t):
 
 
 def thermal_average(p_table, nbar):
-    """Thermal mixture of Fock-resolved traces.
+    """Thermal mixture of Fock-resolved traces, one value per time.
 
     sum_n w_n P(t, n) with geometric weights nbar^n/(nbar+1)^(n+1),
     renormalized over the truncated table; warns when the dropped tail
@@ -164,8 +164,7 @@ def thermal_average(p_table, nbar):
         warnings.warn(
             f"thermal tail beyond n_max={n_max} holds {1.0 - held:.3e} "
             "of the weight", TruncationWarning)
-    out = (w / held) @ p_table
-    return out if out.size > 1 else float(out[0])
+    return (w / held) @ p_table
 
 
 def fit_nbar_trace(data, p):
@@ -210,8 +209,8 @@ def _model_ratio(p, t):
     def model_ratio(nbar):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            return (thermal_average(tab_r, nbar)
-                    / thermal_average(tab_b, nbar))
+            return (thermal_average(tab_r, nbar)[0]
+                    / thermal_average(tab_b, nbar)[0])
     return model_ratio
 
 

@@ -160,10 +160,10 @@ def test_criterion_06_thermometry_round_trips_and_coverage():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             y = thermal_average(sideband_populations(p, "blue", t), nbar)
-            pr = float(thermal_average(
-                sideband_populations(p, "red", [t_pi]), nbar))
-            pb = float(thermal_average(
-                sideband_populations(p, "blue", [t_pi]), nbar))
+            pr = thermal_average(
+                sideband_populations(p, "red", [t_pi]), nbar)[0]
+            pb = thermal_average(
+                sideband_populations(p, "blue", [t_pi]), nbar)[0]
         fr = fit_nbar_trace((t, y), p)
         nb_ratio = fit_nbar_ratio(pr, pb, p)
         round_trip_ok &= abs(fr.params[0] - nbar) / nbar < 0.05
@@ -178,10 +178,10 @@ def test_criterion_06_thermometry_round_trips_and_coverage():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         y_true = thermal_average(sideband_populations(p, "blue", t), truth)
-        pr_true = float(thermal_average(
-            sideband_populations(p, "red", [t_pi]), truth))
-        pb_true = float(thermal_average(
-            sideband_populations(p, "blue", [t_pi]), truth))
+        pr_true = thermal_average(
+            sideband_populations(p, "red", [t_pi]), truth)[0]
+        pb_true = thermal_average(
+            sideband_populations(p, "blue", [t_pi]), truth)[0]
     sig_trace = expected_projection_sigma(y_true, shots)
     sig_r = float(expected_projection_sigma(pr_true, shots))
     sig_b = float(expected_projection_sigma(pb_true, shots))

@@ -1,6 +1,7 @@
 """Batch CLI: config validation, artifact generation, exit codes."""
 
 import csv
+import io
 import json
 import os
 
@@ -177,26 +178,37 @@ class TestArtifacts:
         assert read_csv(tmp_path / "sideband.csv") == [["t_us", "P_up"],
                                                        ["0.0", "0.0"]]
 
-    def test_writer_converts_numpy_values(self, tmp_path):
-        path = str(tmp_path / "table.csv")
-        cli._write_artifact(path, (["x", "k", "s"],
-                                   [np.array([1.5, 2.0]), np.arange(2),
-                                    ["", ""]]))
-        assert read_csv(path) == [["x", "k", "s"], ["1.5", "0", ""],
-                                  ["2.0", "1", ""]]
-        path = str(tmp_path / "values.json")
-        cli._write_artifact(path, {"flag": np.bool_(True),
-                                   "count": np.int64(3),
-                                   "value": np.float64(1.5),
-                                   "matrix": np.eye(2)})
-        with open(path) as fh:
-            text = fh.read()
+    def test_writer_converts_numpy_values(self):
+        text = cli._artifact_text("table.csv", (
+            ["x", "k", "s"], [np.array([1.5, 2.0]), np.arange(2), ["", ""]]))
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["x", "k", "s"], ["1.5", "0", ""], ["2.0", "1", ""]]
+        text = cli._artifact_text("values.json", {"flag": np.bool_(True),
+                                                  "count": np.int64(3),
+                                                  "value": np.float64(1.5),
+                                                  "matrix": np.eye(2)})
         assert "np." not in text
         data = json.loads(text)
         assert data["flag"] is True
         assert data["count"] == 3 and isinstance(data["count"], int)
         assert data["value"] == 1.5
         assert data["matrix"] == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_unwritable_artifact_writes_nothing(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the CSV is valid; the JSON holds a value with no text form, and
+        # is converted after it, so a writer that opened files as it went
+        # would leave the CSV (and a .tmp) behind
+        def runner(cfg):
+            return {"a.csv": (["x"], [np.arange(2)]),
+                    "b.json": {"value": object()}}
+
+        monkeypatch.setitem(cli._RUNNERS, "modes", runner)
+        out = tmp_path / "out"
+        code, artifacts = cli.run("fig4", [f"output_dir={out}"])
+        assert code == 2 and artifacts == []
+        assert "artifact failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidation:
@@ -348,6 +360,15 @@ class TestFailurePaths:
                                 f"output_dir={tmp_path}"])
         assert code == 2 and artifacts == []
         assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_point_stark_fit_names_the_minimum(self, tmp_path, capsys):
+        code, artifacts = cli.run(
+            "appendixE-drive", ["params.n_points=1",
+                                f"output_dir={tmp_path}"])
+        assert code == 2 and artifacts == []
+        err = capsys.readouterr().err
+        assert "ContractViolation" in err and "at least 2 distinct" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_points_listed_in_failures_json(self, tmp_path,

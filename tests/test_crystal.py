@@ -62,8 +62,9 @@ class TestEquilibrium:
 
     def test_each_restart_descends_through_the_module_minimize(
             self, monkeypatch):
-        # the benchmark harness counts restarts by wrapping
-        # crystal.minimize, so every descent must look the name up there
+        # the benchmark harness counts descents by wrapping
+        # crystal.minimize, so the search must look the name up there; all
+        # restarts descend together in one call
         calls, real = [], crystal.minimize
 
         def spy(*args, **kwargs):
@@ -72,10 +73,67 @@ class TestEquilibrium:
 
         monkeypatch.setattr(crystal, "minimize", spy)
         ref = equilibrium_positions(make(5, seed=3), n_restarts=4)
-        assert len(calls) == 4
+        assert len(calls) == 1
+        assert np.size(calls[0][1]) == 4 * 2 * 5
         monkeypatch.undo()
         assert np.array_equal(
             ref, equilibrium_positions(make(5, seed=3), n_restarts=4))
+
+
+def per_restart_search(c, n_restarts=20, grad_tol=1e-10):
+    """The search with one descent per restart: (best energy, positions).
+
+    The oracle for the stacked descent of equilibrium_positions: same
+    seeds, polish, acceptance and selection, each restart descending
+    alone.
+    """
+    from scipy.optimize import minimize, root
+
+    n = c.n_ions
+    alpha = (c.omega_x / c.omega_z)**2
+    rng = np.random.default_rng(c.seed)
+    best, best_v = None, np.inf
+    for _ in range(n_restarts):
+        u = minimize(crystal._potential_and_grad, crystal._hex_seed(n, rng),
+                     args=(alpha,), jac=True,
+                     hess=crystal._hessian_inplane, method="trust-ncg",
+                     options={"gtol": grad_tol, "maxiter": 2000}).x
+        u = root(lambda w: crystal._potential_and_grad(w, alpha)[1], u,
+                 jac=lambda w: crystal._hessian_inplane(w, alpha)).x
+        v, g = crystal._potential_and_grad(u, alpha)
+        if np.abs(g).max() < grad_tol and v < best_v - 1e-12:
+            best_v, best = v, u
+    x, z = best[:n] - best[:n].mean(), best[n:] - best[n:].mean()
+    return best_v, np.column_stack([x, z]) * c.length_scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12, 20])
+def test_stacked_descent_matches_per_restart_oracle(n, monkeypatch):
+    import scipy.optimize
+
+    polished, real_root = [], scipy.optimize.root
+
+    def spy(*args, **kwargs):
+        res = real_root(*args, **kwargs)
+        polished.append(res.x)
+        return res
+
+    for seed in range(3):
+        c = make(n, seed=seed)
+        alpha = (c.omega_x / c.omega_z)**2
+        v_ref, pos_ref = per_restart_search(c)
+        polished.clear()
+        monkeypatch.setattr(scipy.optimize, "root", spy)
+        pos = equilibrium_positions(c)
+        monkeypatch.undo()
+        assert len(polished) == 20
+        for u in polished:
+            assert np.abs(crystal._potential_and_grad(u, alpha)[1]).max() \
+                < 1e-10
+        u = np.concatenate([pos[:, 0], pos[:, 1]]) / c.length_scale
+        v = crystal._potential_and_grad(u, alpha)[0]
+        assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+        assert np.abs(pos - pos_ref).max() <= 1e-9 * c.length_scale
 
 
 class TestModes:

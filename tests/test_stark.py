@@ -309,6 +309,13 @@ class TestFit:
         with pytest.raises(ContractViolation):
             fit_rabi_components([(t, np.zeros_like(t))] * 2, DRIVE)
 
+    def test_trace_with_one_distinct_time_rejected(self):
+        t, traces = sample_traces(DRIVE)
+        items = list(zip([t] * 3, traces))
+        items[1] = (np.full(3, t[5]), traces[1][:3])
+        with pytest.raises(ContractViolation, match="at least 2 distinct"):
+            fit_rabi_components(items, DRIVE)
+
 
 class TestReporting:
     def test_b_field_alignment(self):

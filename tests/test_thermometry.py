@@ -232,6 +232,11 @@ class TestThermalAverage:
             avg = thermal_average(tab, 2.0)
         assert np.abs(avg - 0.37).max() < 1e-12
 
+    def test_one_time_column_gives_one_value_array(self):
+        tab = sideband_populations(single_ion(n_max=10), "blue", [1e-6])
+        avg = thermal_average(tab, 0.5)
+        assert isinstance(avg, np.ndarray) and avg.shape == (1,)
+
     def test_tail_warning(self):
         tab = np.zeros((4, 3))
         with pytest.warns(TruncationWarning):
@@ -302,10 +307,10 @@ class TestFitters:
             t = p.blue_pi_time()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
-                pr = float(thermal_average(
-                    sideband_populations(p, "red", [t]), nbar))
-                pb = float(thermal_average(
-                    sideband_populations(p, "blue", [t]), nbar))
+                pr = thermal_average(
+                    sideband_populations(p, "red", [t]), nbar)[0]
+                pb = thermal_average(
+                    sideband_populations(p, "blue", [t]), nbar)[0]
             got = fit_nbar_ratio(pr, pb, p)
             assert abs(got - nbar) / nbar < 1e-3
 
@@ -332,12 +337,12 @@ class TestFitters:
                 warnings.simplefilter("ignore", TruncationWarning)
                 y_b = thermal_average(
                     sideband_populations(p, "blue", t), nbar)
-                pr = float(thermal_average(
+                pr = thermal_average(
                     sideband_populations(p, "red",
-                                         [p.blue_pi_time()]), nbar))
-                pb = float(thermal_average(
+                                         [p.blue_pi_time()]), nbar)[0]
+                pb = thermal_average(
                     sideband_populations(p, "blue",
-                                         [p.blue_pi_time()]), nbar))
+                                         [p.blue_pi_time()]), nbar)[0]
             fr = fit_nbar_trace((t, y_b), p)
             nb_ratio = fit_nbar_ratio(pr, pb, p)
             combined = fr.sigma[0] + 1e-3 * (1.0 + nbar)
@@ -350,10 +355,10 @@ class TestFitters:
         nbar = 1.04
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            pr = float(thermal_average(
-                sideband_populations(p, "red", [t]), nbar))
-            pb = float(thermal_average(
-                sideband_populations(p, "blue", [t]), nbar))
+            pr = thermal_average(
+                sideband_populations(p, "red", [t]), nbar)[0]
+            pb = thermal_average(
+                sideband_populations(p, "blue", [t]), nbar)[0]
         got = fit_nbar_ratio(pr, pb, p, t=t)
         assert abs(got - nbar) / nbar < 1e-3
 
@@ -362,10 +367,10 @@ class TestFitters:
         t = p.blue_pi_time()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            pr = float(thermal_average(
-                sideband_populations(p, "red", [t]), 0.5))
-            pb = float(thermal_average(
-                sideband_populations(p, "blue", [t]), 0.5))
+            pr = thermal_average(
+                sideband_populations(p, "red", [t]), 0.5)[0]
+            pb = thermal_average(
+                sideband_populations(p, "blue", [t]), 0.5)[0]
         s1 = ratio_nbar_sigma(0.5, pr, pb, 0.01, 0.01, p, t=t)
         s2 = ratio_nbar_sigma(0.5, pr, pb, 0.02, 0.02, p, t=t)
         assert 0.0 < s1 < s2
