@@ -16,7 +16,8 @@ computation of a spectrum, sideband or ODF preset.
 __version__ = "0.1.0"
 
 from . import units
-from .atom4 import EitParams, dark_states, dressed_energies, dressed_stark_shift
+from .atom4 import (EitParams, dark_states, dressed_energies,
+                    dressed_stark_shift)
 from .cooling import MotionalMode, simulate_cooling, detuning_scan
 from .crystal import CrystalConfig, equilibrium_positions, transverse_modes
 from .lindblad import LindbladSystem, evolve, steadystate

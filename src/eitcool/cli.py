@@ -8,6 +8,7 @@ traced back to an exact input.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -488,7 +489,10 @@ def run(config_path, overrides=()):
     the manifest included, converts to text: a config error exits 1,
     and a numerical failure or an artifact that cannot be written as
     text exits 2, all with no artifacts.  Each file is written to a temp
-    file and renamed onto its path once complete.
+    file and renamed onto its path once complete.  An output_dir that
+    cannot be made or written to also exits 2 (artifact failure, with
+    the path named) and leaves no temp file; the paths returned are the
+    files completed before the failure.
     """
     t0 = time.monotonic()
     cfg = _load_config(config_path, overrides)
@@ -519,14 +523,24 @@ def run(config_path, overrides=()):
         print(f"artifact failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2, []
-    os.makedirs(cfg.output_dir, exist_ok=True)
     paths = []
-    for name, text in texts.items():
-        path = os.path.join(cfg.output_dir, name)
-        with open(path + ".tmp", "w", newline="") as fh:
-            fh.write(text)
-        os.replace(path + ".tmp", path)
-        paths.append(path)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        for name, text in texts.items():
+            path = os.path.join(cfg.output_dir, name)
+            try:
+                with open(path + ".tmp", "w", newline="") as fh:
+                    fh.write(text)
+                os.replace(path + ".tmp", path)
+            except OSError:
+                with contextlib.suppress(OSError):
+                    os.remove(path + ".tmp")
+                raise
+            paths.append(path)
+    except OSError as exc:
+        print(f"artifact failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2, paths
     return 0, paths
 
 

@@ -220,7 +220,11 @@ def _fit_exponential(t, nbar, nbar0):
     guess = [max(nbar[0] - nbar[-1], 1e-3), span / 5.0, nbar[-1]]
 
     def model(x, pr):
-        return pr[0] * np.exp(-x / max(pr[1], 1e-12)) + pr[2]
+        a, tau, c = pr
+        tau = max(tau, 1e-12)
+        e = np.exp(-x / tau)
+        return a * e + c, np.column_stack([e, a * x * e / tau**2,
+                                           np.ones_like(x)])
 
     try:
         fr = fit_least_squares(model, (t, nbar, np.ones_like(nbar)), guess)

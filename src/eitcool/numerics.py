@@ -128,16 +128,22 @@ def integrate_ode(rhs, t_list, y0, rel_tol=1e-8, abs_tol=1e-10):
 def fit_least_squares(model, data, p0):
     """Weighted nonlinear least squares: MINPACK Levenberg-Marquardt.
 
-    model(x, params) -> y_hat; data is (x, y, sigma_y) with sigma_y > 0
-    and every input finite.  scipy's least_squares(method="lm") runs the
-    iteration on a numerical Jacobian (central differences, step
-    1e-6 * scale); every evaluation of it, including the one at the
+    model(x, params) -> (y_hat, J), with J[i, k] = d y_hat[i] / d
+    params[k] of shape (len(x), len(params)); data is (x, y, sigma_y)
+    with sigma_y > 0 and every input finite.  scipy's least_squares
+    (method="lm", MINPACK's lmder) runs the iteration on that exact
+    Jacobian; there is no numerical one.  One model call serves both
+    the residual and the Jacobian at a parameter vector: the
+    evaluations at MINPACK's current iterate and at its latest trial
+    point are kept, which are the only points it asks for again.  A J
+    of the wrong shape or with a non-finite entry raises
+    ContractViolation.  Every Jacobian, including the one at the
     returned parameters, raises DegenerateFitError when cond(J^T J)
-    exceeds 1e14 or is not finite.  1-sigma errors come from the diagonal
-    of the inverse approximate Hessian (J^T J in whitened residual
-    coordinates) at the returned parameters.  converged is MINPACK's
-    success status; n_iter counts the Jacobian evaluations of the
-    iteration.
+    exceeds 1e14 or is not finite.  1-sigma errors come from the
+    diagonal of the inverse approximate Hessian (J^T J in whitened
+    residual coordinates) at the returned parameters.  converged is
+    MINPACK's success status; n_iter counts the Jacobian evaluations of
+    the iteration.
     """
     x, y, sig = (np.asarray(v, dtype=float) for v in data)
     p = np.asarray(p0, dtype=float)
@@ -149,18 +155,32 @@ def fit_least_squares(model, data, p0):
     if y.size < p.size:
         raise ContractViolation("need at least as many points as parameters")
 
+    cache = {}          # params bytes -> whitened (residuals, Jacobian)
+    iterate = None      # key of the point whose Jacobian MINPACK took last
+
+    def evaluate(pp):
+        key = pp.tobytes()
+        if key not in cache:
+            y_hat, J = model(x, pp)
+            J = np.asarray(J, dtype=float)
+            if J.shape != (y.size, pp.size):
+                raise ContractViolation(
+                    f"model Jacobian has shape {J.shape}, expected "
+                    f"{(y.size, pp.size)}")
+            if not np.all(np.isfinite(J)):
+                raise ContractViolation("model Jacobian is not finite")
+            for old in [k for k in cache if k != iterate]:
+                del cache[old]
+            cache[key] = ((np.asarray(y_hat, dtype=float) - y) / sig,
+                          J / sig[:, None])
+        return key, cache[key]
+
     def residuals(pp):
-        return (np.asarray(model(x, pp), dtype=float) - y) / sig
+        return evaluate(pp)[1][0]
 
     def jacobian(pp):
-        J = np.empty((y.size, pp.size))
-        for j in range(pp.size):
-            step = 1e-6 * max(abs(pp[j]), 1.0)
-            pu, pd = pp.copy(), pp.copy()
-            pu[j] += step
-            pd[j] -= step
-            # whitened model derivative d(f/sigma)/dp_j
-            J[:, j] = (residuals(pu) - residuals(pd)) / (2.0 * step)
+        nonlocal iterate
+        iterate, (_, J) = evaluate(pp)
         cond = np.linalg.cond(J.T @ J)
         if not np.isfinite(cond) or cond > 1e14:
             raise DegenerateFitError(

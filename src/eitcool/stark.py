@@ -251,9 +251,14 @@ def fit_rabi_components(traces, p0):
     mat, decay = map(np.array, zip(*(_coefficients(p0, q) for q in QUBITS)))
 
     def model(t, pr):
+        # shift and rate are linear in x = pr^2: d/dpr_k = 2 pr_k d/dx_k
         sq = pr * pr
-        return (np.sin((mat @ sq)[tag_cat] * t)**2
-                * np.exp(-(decay @ sq)[tag_cat] * t))
+        phase = (mat @ sq)[tag_cat] * t
+        env = np.exp(-(decay @ sq)[tag_cat] * t)
+        y = np.sin(phase)**2 * env
+        dx = t[:, None] * ((np.sin(2.0 * phase) * env)[:, None]
+                           * mat[tag_cat] - y[:, None] * decay[tag_cat])
+        return y, 2.0 * pr * dx
 
     # frequency bootstrap: |shift| per trace with envelopes from p0; every
     # (frequency triple, sign pattern) seed is one column of a single

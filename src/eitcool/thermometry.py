@@ -129,13 +129,25 @@ class _SidebandModel:
         self.weight = np.where(inside, up / n, 0.0)
         self.evals, self.evecs = np.linalg.eigh(hb)
 
-    def table(self, t):
-        """P_up(t, n) for n = 0..n_max; shape (n_max + 1, len(t))."""
+    def table(self, t, slope=False):
+        """P_up(t, n) for n = 0..n_max; shape (n_max + 1, len(t)).
+
+        With slope, returns (P_up, dP_up/dt) from the same eigenphases:
+        amp = V (c e^(-i lambda t)) and d|amp|^2/dt = 2 Re(amp^* V (c
+        (-i lambda) e^(-i lambda t))) = 2 Im(amp^* V (c lambda e^(-i
+        lambda t))), c the overlaps with psi0.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        phases = np.exp(-1j * self.evals[:, :, None] * t)     # (nf, b, nt)
         # <evecs|psi0> is the first row of each (real) block eigenbasis
-        amp = self.evecs @ (self.evecs[:, 0, :, None] * phases)
-        return np.einsum("nb,nbt->nt", self.weight, np.abs(amp)**2)
+        c = self.evecs[:, 0, :, None] * np.exp(
+            -1j * self.evals[:, :, None] * t)                 # (nf, b, nt)
+        amp = self.evecs @ c
+        tab = np.einsum("nb,nbt->nt", self.weight, np.abs(amp)**2)
+        if not slope:
+            return tab
+        d = self.evecs @ (self.evals[:, :, None] * c)
+        return tab, 2.0 * np.einsum("nb,nbt->nt", self.weight,
+                                    amp.real * d.imag - amp.imag * d.real)
 
 
 def sideband_populations(p, side, t):
@@ -167,6 +179,23 @@ def thermal_average(p_table, nbar):
     return (w / held) @ p_table
 
 
+def _thermal_mix(n_max, nbar):
+    """Renormalized thermal weights w over n = 0..n_max, and dw/dnbar.
+
+    w_n is proportional to q^n, q = nbar / (nbar + 1), so dw/dnbar =
+    g - w sum(g) with g_n = (n w_(n-1) - (n + 1) w_n) / (nbar + 1),
+    written through w_(n-1) so that it stays finite at nbar = 0.
+    nbar dw/dnbar equals w (l - w.l), l_n = n - (n + 1) nbar / (nbar + 1).
+    """
+    w = thermal_weights(n_max, nbar)
+    w /= w.sum()
+    n = np.arange(n_max + 1)
+    g = -(n + 1) * w
+    g[1:] += n[1:] * w[:-1]
+    g /= nbar + 1.0
+    return w, g - w * g.sum()
+
+
 def fit_nbar_trace(data, p):
     """Extract nbar from a blue-sideband trace by thermal least squares.
 
@@ -185,11 +214,11 @@ def fit_nbar_trace(data, p):
     model = _SidebandModel(p, "blue")
 
     def f(x, pr):
-        u, v = pr
-        tab = model.table(np.exp(v) * x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return thermal_average(tab, np.exp(u))
+        nbar, scale = np.exp(pr)
+        tab, slope = model.table(scale * x, slope=True)
+        w, dw = _thermal_mix(p.mode.n_max, nbar)
+        return w @ tab, np.column_stack([nbar * (dw @ tab),
+                                         scale * x * (w @ slope)])
 
     fr = fit_least_squares(f, (t, y, sig), [0.0, 0.0])
     nbar, scale = np.exp(fr.params)
@@ -200,17 +229,17 @@ def fit_nbar_trace(data, p):
 
 
 def _model_ratio(p, t):
-    """nbar -> thermal red/blue population ratio at time t (blue pi time)."""
+    """nbar -> (thermal red/blue population ratio at time t, its nbar
+    slope); t defaults to the blue pi time."""
     if t is None:
         t = p.blue_pi_time()
-    tab_r = _SidebandModel(p, "red").table([t])
-    tab_b = _SidebandModel(p, "blue").table([t])
+    red = _SidebandModel(p, "red").table([t])[:, 0]
+    blue = _SidebandModel(p, "blue").table([t])[:, 0]
 
     def model_ratio(nbar):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return (thermal_average(tab_r, nbar)[0]
-                    / thermal_average(tab_b, nbar)[0])
+        w, dw = _thermal_mix(p.mode.n_max, nbar)
+        ratio = (w @ red) / (w @ blue)
+        return ratio, (dw @ red - ratio * (dw @ blue)) / (w @ blue)
     return model_ratio
 
 
@@ -218,8 +247,8 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None):
     """Invert the red/blue population ratio at time t to nbar.
 
     t defaults to the blue pi time.  The ratio of thermally averaged
-    sideband populations at a fixed time is monotone in nbar; Brent's method (brentq) finds it on [0, n_cap],
-    n_cap = n_max / 2, to 1e-6.
+    sideband populations at a fixed time is monotone in nbar; Brent's
+    method (brentq) finds it on [0, n_cap], n_cap = n_max / 2, to 1e-6.
     """
     if p_blue <= 0:
         raise ContractViolation("blue-sideband population must be > 0")
@@ -232,13 +261,13 @@ def fit_nbar_ratio(p_red, p_blue, p, t=None):
         return 0.0
     model_ratio = _model_ratio(p, t)
     n_cap = p.mode.n_max / 2.0
-    if ratio > model_ratio(n_cap):
+    if ratio > model_ratio(n_cap)[0]:
         raise InversionRangeError(
             f"ratio {ratio:.3f} exceeds the model at nbar = {n_cap:.1f}; "
             "raise n_max")
     from scipy.optimize import brentq
 
-    return brentq(lambda nbar: model_ratio(nbar) - ratio, 0.0, n_cap,
+    return brentq(lambda nbar: model_ratio(nbar)[0] - ratio, 0.0, n_cap,
                   xtol=1e-6)
 
 
@@ -246,15 +275,12 @@ def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
     """1-sigma error of a ratio-method nbar estimate (delta method).
 
     Propagates the measurement errors of the two populations through the
-    inverse slope of the model ratio curve at the fitted nbar.
+    inverse slope of the model ratio curve at the fitted nbar, taken
+    analytically from the thermal weights (nbar = 0 included).
     """
-    model_ratio = _model_ratio(p, t)
     ratio = p_red / p_blue
     sigma_ratio = np.hypot(sigma_red, ratio * sigma_blue) / p_blue
-    h = max(1e-4, 1e-3 * max(nbar, 1e-2))
-    lo = max(nbar - h, 0.0)
-    slope = (model_ratio(nbar + h) - model_ratio(lo)) / (nbar + h - lo)
-    return float(sigma_ratio / slope)
+    return float(sigma_ratio / _model_ratio(p, t)(nbar)[1])
 
 
 # Lamb-Dicke factor of the ODF beams: Yb-171 S-P Raman wavevector and mass
@@ -392,7 +418,7 @@ def heating_rate_fit(delays, nbars):
     span = max(delays.max(), 1e-12)
 
     def line(x, pr):
-        return pr[0] + pr[1] * x
+        return pr[0] + pr[1] * x, np.column_stack([np.ones_like(x), x])
 
     guess = [nbars[0], (nbars[-1] - nbars[0]) / span]
     return fit_least_squares(line, (delays, nbars, np.ones_like(nbars)),

@@ -362,6 +362,29 @@ class TestFailurePaths:
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sub", ["taken", "taken/out"])
+    def test_unusable_output_dir_exit_code(self, sub, tmp_path, capsys):
+        # an existing file, or a directory below one
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / sub
+        code, artifacts = cli.run("fig2d", [f"output_dir={out}"])
+        assert code == 2 and artifacts == []
+        err = capsys.readouterr().err
+        assert err.startswith("artifact failure: ") and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_unreplaceable_artifact_leaves_no_temp_file(self, tmp_path,
+                                                        capsys):
+        # a directory where the CSV goes: its temp file is written, and
+        # renaming it onto the directory fails
+        (tmp_path / "sideband.csv").mkdir()
+        code, artifacts = cli.run("fig2d", [f"output_dir={tmp_path}"])
+        assert code == 2 and artifacts == []
+        err = capsys.readouterr().err
+        assert err.startswith("artifact failure: ")
+        assert str(tmp_path / "sideband.csv") in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sideband.csv"]
+
     def test_one_point_stark_fit_names_the_minimum(self, tmp_path, capsys):
         code, artifacts = cli.run(
             "appendixE-drive", ["params.n_points=1",

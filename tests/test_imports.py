@@ -4,8 +4,8 @@ module-level function or class, and every dataclass field, is read by
 the package, the benchmark harness or the acceptance criteria.
 
 No linter ships with the project, so these scans are the unused-import,
-dead-private-name, test-only-code and unread-field checks.  __init__.py is skipped by
-the import scan: its imports are the package's re-exports.
+dead-private-name, test-only-code and unread-field checks.  __init__.py
+is skipped by the import scan: its imports are the package's re-exports.
 """
 
 import ast
@@ -172,3 +172,13 @@ def test_no_dataclass_field_only_tests_read():
     readers = [t for name, t in trees.items() if name != "__init__.py"]
     readers += [ast.parse(p.read_text()) for p in outside]
     assert unread_dataclass_fields(trees, readers) == []
+
+
+def test_lines_fit_79_columns():
+    long = [f"{path.relative_to(ROOT)}:{i}"
+            for top in (SRC, ROOT / "tests")
+            for path in sorted(top.rglob("*"))
+            if path.suffix in (".py", ".json")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

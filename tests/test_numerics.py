@@ -173,17 +173,23 @@ def scipy_modules_after(code):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def proportional(x, p):
+    return p[0] * x, x[:, None]
+
+
+def exponential(x, p):
+    e = np.exp(-p[1] * x)
+    return p[0] * e + p[2], np.column_stack([e, -p[0] * x * e,
+                                             np.ones_like(x)])
+
+
 class TestFitLeastSquares:
     def test_recovers_exponential(self):
         rng = np.random.default_rng(2)
         t = np.linspace(0, 5, 40)
         true = np.array([2.0, 0.7, 0.3])
-
-        def model(x, p):
-            return p[0] * np.exp(-p[1] * x) + p[2]
-
-        y = model(t, true)
-        fr = fit_least_squares(model, (t, y, np.full_like(t, 1e-3)),
+        y = exponential(t, true)[0]
+        fr = fit_least_squares(exponential, (t, y, np.full_like(t, 1e-3)),
                                [1.0, 1.0, 0.0])
         assert fr.converged
         assert np.abs(fr.params - true).max() < 1e-8
@@ -193,10 +199,10 @@ class TestFitLeastSquares:
         t = np.linspace(0, 1, 100)
 
         def line(x, p):
-            return p[0] + p[1] * x
+            return p[0] + p[1] * x, np.column_stack([np.ones_like(x), x])
 
         noise = 0.05
-        y = line(t, [1.0, 2.0]) + noise * rng.standard_normal(t.size)
+        y = line(t, [1.0, 2.0])[0] + noise * rng.standard_normal(t.size)
         fr = fit_least_squares(line, (t, y, np.full_like(t, noise)),
                                [0.0, 0.0])
         # analytic 1-sigma on the slope of a weighted linear fit
@@ -207,13 +213,10 @@ class TestFitLeastSquares:
         rng = np.random.default_rng(5)
         t = np.linspace(0, 5, 60)
         noise = 0.02
-
-        def model(x, p):
-            return p[0] * np.exp(-p[1] * x) + p[2]
-
-        y = model(t, [2.0, 0.7, 0.3]) + noise * rng.standard_normal(t.size)
+        y = (exponential(t, [2.0, 0.7, 0.3])[0]
+             + noise * rng.standard_normal(t.size))
         sig = np.full_like(t, noise)
-        fr = fit_least_squares(model, (t, y, sig), [1.0, 1.0, 0.0])
+        fr = fit_least_squares(exponential, (t, y, sig), [1.0, 1.0, 0.0])
         a, b, _ = fr.params
         e = np.exp(-b * t)
         J = np.column_stack([e, -a * t * e, np.ones_like(t)]) / sig[:, None]
@@ -225,9 +228,10 @@ class TestFitLeastSquares:
         t = np.linspace(0, 1, 10)
 
         def model(x, p):
-            return (p[0] + p[1]) * x   # only the sum is identifiable
+            # only the sum is identifiable
+            return (p[0] + p[1]) * x, np.column_stack([x, x])
 
-        y = model(t, [1.0, 1.0])
+        y = model(t, [1.0, 1.0])[0]
         with pytest.raises(DegenerateFitError) as info:
             fit_least_squares(model, (t, y, np.ones_like(t)), [1.0, 1.0])
         assert info.value.condition > 1e14
@@ -241,10 +245,42 @@ class TestFitLeastSquares:
                            (t, bad, [1.0]),
                            (t, np.ones_like(t), [np.nan])):
             with pytest.raises(ContractViolation):
-                fit_least_squares(lambda x, p: p[0] * x, (t, y, sig), p0)
+                fit_least_squares(proportional, (t, y, sig), p0)
+
+    def test_model_runs_once_per_parameter_vector(self):
+        # MINPACK asks again only for its current iterate: after a
+        # rejected last trial, at the returned parameters (seed 85 ends
+        # that way; a cache of the latest point alone re-runs the model)
+        t = np.linspace(0, 5, 30)
+        for seed in range(80, 90):
+            rng = np.random.default_rng(seed)
+            y = exponential(t, [2.0, 0.7, 0.3])[0]
+            y = y + 0.02 * rng.standard_normal(t.size)
+            keys = []
+
+            def model(x, p):
+                keys.append(p.tobytes())
+                return exponential(x, p)
+
+            fr = fit_least_squares(model, (t, y, np.full_like(t, 0.02)),
+                                   [1.0, 1.0, 0.0])
+            assert fr.converged
+            assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda x: np.ones((x.size, 2)), "shape"),
+        (lambda x: np.ones(x.size), "shape"),
+        (lambda x: np.full((x.size, 1), np.inf), "not finite"),
+        (lambda x: np.where(x[:, None] > 0.5, np.nan, x[:, None]),
+         "not finite")], ids=["columns", "one-d", "inf", "nan"])
+    def test_bad_model_jacobian_rejected(self, bad, message):
+        t = np.linspace(0, 1, 10)
+        with pytest.raises(ContractViolation, match=message):
+            fit_least_squares(lambda x, p: (p[0] * x, bad(x)),
+                              (t, 2.0 * t, np.ones_like(t)), [1.0])
 
     def test_more_params_than_points_rejected(self):
         with pytest.raises(ContractViolation):
-            fit_least_squares(lambda x, p: p[0] * x,
+            fit_least_squares(proportional,
                               (np.array([1.0]), np.array([1.0]),
                                np.array([1.0])), [1.0, 2.0])

@@ -376,6 +376,24 @@ class TestFitters:
         assert 0.0 < s1 < s2
         assert abs(s2 / s1 - 2.0) < 1e-6
 
+    def test_ratio_sigma_single_spin_closed_form(self):
+        # one spin: red row n equals blue row n - 1 and the top blue row
+        # is dark, so the thermal ratio is nbar / (nbar + 1) at any time
+        # and its slope is 1 / (nbar + 1)^2, nbar = 0 included
+        p = single_ion()
+        t = p.blue_pi_time()
+        red = sideband_populations(p, "red", [t])
+        blue = sideband_populations(p, "blue", [t])
+        for nbar in (0.0, 0.06, 1.04, 5.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                pr = thermal_average(red, nbar)[0]
+                pb = thermal_average(blue, nbar)[0]
+            assert abs(pr / pb - nbar / (nbar + 1.0)) < 1e-12
+            sigma_ratio = np.hypot(0.01, pr / pb * 0.02) / pb
+            got = ratio_nbar_sigma(nbar, pr, pb, 0.01, 0.02, p, t=t)
+            assert abs(got / (sigma_ratio * (nbar + 1.0)**2) - 1.0) < 1e-9
+
 
 ODF_MODE = SimpleNamespace(
     frequencies=np.array([units.mhz(1.22)]),
