@@ -138,8 +138,15 @@ SCHEMAS = {
 
 
 # value checks on resolved params: key -> (predicate, requirement)
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _CHECKS = {
-    "dt_ns": (lambda v: v > 0, "must be > 0"),
+    "dt_ns": _POSITIVE,
+    "gamma_mhz": _POSITIVE,
+    "mass_amu": _POSITIVE,
+    "tau_us": _POSITIVE,            # the ODF phase axis divides by it
+    **dict.fromkeys(("nbar0", "heating_quanta_per_ms", "nbar", "rabi_mhz",
+                     "tau_pi_us", "gamma_d"), _NONNEGATIVE),
     "powers": (lambda v: all(type(x) in (int, float)
                              and 0 <= x <= sys.float_info.max for x in v),
                "entries must be finite numbers >= 0"),

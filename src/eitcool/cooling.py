@@ -11,6 +11,8 @@ of this problem and is cross-validated against the generic Lindblad
 integrator in the test suite.
 """
 
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,11 +38,9 @@ class MotionalMode:
     b: np.ndarray = None           # participation vector, unit norm
 
     def __post_init__(self):
-        if self.b is None:
-            self.b = np.array([1.0])
-        self.b = np.asarray(self.b, dtype=float)
-        norm = np.linalg.norm(self.b)
-        if abs(norm - 1.0) > 1e-10:
+        self.b = np.asarray([1.0] if self.b is None else self.b,
+                            dtype=float)
+        if abs(np.linalg.norm(self.b) - 1.0) > 1e-10:
             raise ContractViolation("participation vector must be unit norm")
         if self.nu <= 0 or self.mass <= 0 or self.k_mag <= 0:
             raise ContractViolation("nu, mass, k_mag must be positive")
@@ -237,30 +237,25 @@ def _fit_exponential(t, nbar, nbar0):
     return 1.0 / tau, tau, float(c), True
 
 
-def _workers():
-    """Scan runs that fit on this process's CPUs at once.
-
-    The CPUs this process may use (all of them where that is unknown)
-    divided by the BLAS threads each run takes.  Those are read as
-    OpenBLAS reads them at load: the first positive integer among
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, capped
-    at the CPU count, or every CPU when none is set.
-    """
+@functools.cache
+def _blas_threads():
+    """(get, set) thread counts of numpy's OpenBLAS, or None if not found."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return (lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_)
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    threads = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS"):
-        try:
-            value = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            threads = min(value, cpus)
-            break
-    return cpus // threads
+        return None
+
+
+def _workers():
+    """One scan run per usable CPU, or 1 where _blas_threads finds none."""
+    if _blas_threads() is None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _cool_runs(params, m, t_list, nbar0, heating, dt):
@@ -268,12 +263,15 @@ def _cool_runs(params, m, t_list, nbar0, heating, dt):
 
     The runs are independent and spend their time in matrix products
     that release the GIL, so they run concurrently on min(_workers(),
-    runs) threads.  Each entry of the returned list is the run's
-    CoolingResult or the RuntimeError or LinAlgError it raised.  Any
-    other exception propagates, and the runs still queued are cancelled.
+    runs) threads, with numpy's BLAS at 1 thread until the pool is shut
+    down.  Each entry of the returned list is the run's CoolingResult or
+    the RuntimeError or LinAlgError it raised.  Any other exception
+    propagates, and the runs still queued are cancelled.
     """
-    pool = ThreadPoolExecutor(max_workers=max(1, min(_workers(),
-                                                     len(params))))
+    get_threads, set_threads = _blas_threads() or (lambda: 1, lambda n: None)
+    threads = get_threads()
+    set_threads(1)
+    pool = ThreadPoolExecutor(max(1, min(_workers(), len(params))))
     try:
         futures = [pool.submit(simulate_cooling, pi, m, nbar0, t_list,
                                heating=heating, dt=dt) for pi in params]
@@ -285,6 +283,7 @@ def _cool_runs(params, m, t_list, nbar0, heating, dt):
                 outcomes.append(exc)
     finally:
         pool.shutdown(cancel_futures=True)
+        set_threads(threads)
     return outcomes
 
 

@@ -51,6 +51,8 @@ class CrystalConfig:
             raise ContractViolation("trap frequencies must be positive")
         if self.n_ions < 1:
             raise ContractViolation("need at least one ion")
+        if self.mass <= 0:
+            raise ContractViolation("ion mass must be positive")
 
     @classmethod
     def from_mhz(cls, n_ions, omega_x, omega_y, omega_z,

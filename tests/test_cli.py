@@ -290,6 +290,21 @@ class TestValidation:
         ("fig2b", "params.n_max=-1", "params.n_max"),
         ("fig2b", "params.n_max=0", "params.n_max"),
         ("fig2d", "params.n_spins=0", "params.n_spins"),
+        # ranges that a library contract would otherwise reject at run
+        # time (exit 2), or, for fig4d's nbar, not reject at all
+        ("fig2b", "params.nbar0=-1", "params.nbar0"),
+        ("fig2b", "params.heating_quanta_per_ms=-1",
+         "params.heating_quanta_per_ms"),
+        ("fig2b", "params.gamma_mhz=0", "params.gamma_mhz"),
+        ("fig2d", "params.nbar=-1", "params.nbar"),
+        ("fig2d", "params.rabi_mhz=-1", "params.rabi_mhz"),
+        ("fig4d", "params.tau_us=-1", "params.tau_us"),
+        ("fig4d", "params.tau_us=0", "params.tau_us"),
+        ("fig4d", "params.tau_pi_us=-1", "params.tau_pi_us"),
+        ("fig4d", "params.gamma_d=-1", "params.gamma_d"),
+        ("fig4d", "params.nbar=-1", "params.nbar"),
+        ("fig4", "params.mass_amu=-1", "params.mass_amu"),
+        ("fig4", "params.mass_amu=0", "params.mass_amu"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):

@@ -354,6 +354,27 @@ class TestScans:
             power_scan(P, m, "repump", [1.0])
 
 
+# numpy's OpenBLAS thread-count functions; None where numpy links another
+# BLAS, and then scans run on 1 worker
+BLAS = cooling._blas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None,
+                                reason="numpy's OpenBLAS symbols not found")
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's BLAS at 2 threads for the test, then back as it was; yields
+    its get-count function, or None where BLAS is None."""
+    if BLAS is None:
+        yield None
+        return
+    get_threads, set_threads = BLAS
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
 def on_workers(monkeypatch, n):
     monkeypatch.setattr(cooling, "_workers", lambda: n)
 
@@ -443,7 +464,8 @@ print(json.dumps([before] + out))
         assert rows[0] == good
         assert rows[1]["failed"] and np.isnan(rows[1]["n_ss"])
 
-    def test_programming_error_cancels_queued_points(self, monkeypatch):
+    def test_programming_error_cancels_queued_points(self, monkeypatch,
+                                                     blas_at_two):
         calls, lock = [], threading.Lock()
 
         def slow_bug(*args, **kwargs):
@@ -458,31 +480,69 @@ print(json.dumps([before] + out))
         with pytest.raises(TypeError, match="programming error"):
             detuning_scan(P, self.M, grid, 1e-7)
         assert len(calls) < grid.size
+        # numpy's BLAS is back at its count from before the scan
+        assert blas_at_two is None or blas_at_two() == 2
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("env, workers", [
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-        ({"OMP_NUM_THREADS": "1"}, 4),
-        ({"GOTO_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "x"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-        ({"MKL_NUM_THREADS": "1"}, 1),
-    ])
-    def test_cpus_over_blas_threads(self, monkeypatch, env, workers):
+    @needs_blas
+    def test_one_per_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(cooling.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2, 3})
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert cooling._workers() == workers
+        assert cooling._workers() == 4
+
+    def test_one_without_blas_symbols(self, monkeypatch):
+        monkeypatch.setattr(cooling, "_blas_threads", lambda: None)
+        assert cooling._workers() == 1
+
+    @needs_blas
+    def test_pool_pins_blas_then_restores(self, monkeypatch, blas_at_two):
+        seen, real = [], cooling.simulate_cooling
+
+        def spy(*args, **kwargs):
+            seen.append(blas_at_two())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cooling, "simulate_cooling", spy)
+        on_workers(monkeypatch, 2)
+        grid = TestScanWorkers.GRID
+        detuning_scan(P, TestScanWorkers.M, grid, 1e-7, dt=8e-9)
+        assert seen == [1] * grid.size
+        assert blas_at_two() == 2
+
+    @needs_blas
+    @pytest.mark.parametrize("env", [
+        {}, {"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}],
+        ids=["unset", "openblas-1-omp1"])
+    def test_environment_does_not_set_pool_threads(self, env):
+        # a fresh interpreter, so OpenBLAS reads these at load; with none
+        # set it starts one thread per CPU, and the pool sets 1 either way
+        code = """
+import json
+import numpy as np
+from eitcool import cooling, units
+from eitcool.atom4 import EitParams
+get_threads, _ = cooling._blas_threads()
+seen, real = [], cooling.simulate_cooling
+def spy(*args, **kwargs):
+    seen.append(get_threads())
+    return real(*args, **kwargs)
+cooling.simulate_cooling = spy
+p = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
+m = cooling.MotionalMode.from_lab(2.38, n_max=4)
+cooling.detuning_scan(p, m, units.mhz(np.array([3.1, 4.1])), 1e-7,
+                      dt=8e-9)
+print(json.dumps(seen))
+"""
+        src = os.path.dirname(os.path.dirname(cooling.__file__))
+        env = {**{k: v for k, v in os.environ.items()
+                  if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                               "OMP_NUM_THREADS")},
+               "PYTHONPATH": src, **env}
+        res = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env=env)
+        assert json.loads(res.stdout) == [1, 1]
 
 
 class TestFitExponential:

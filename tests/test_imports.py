@@ -1,11 +1,13 @@
 """Every name a module imports is used in that module, every private
-module-level name is used somewhere in the package, and every public
+module-level name is used somewhere in the package, every public
 module-level function or class, and every dataclass field, is read by
-the package, the benchmark harness or the acceptance criteria.
+the package, the benchmark harness or the acceptance criteria, and no
+module reads the environment.
 
 No linter ships with the project, so these scans are the unused-import,
-dead-private-name, test-only-code and unread-field checks.  __init__.py
-is skipped by the import scan: its imports are the package's re-exports.
+dead-private-name, test-only-code, unread-field and environment-read
+checks.  __init__.py is skipped by the import scan: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -172,6 +174,31 @@ def test_no_dataclass_field_only_tests_read():
     readers = [t for name, t in trees.items() if name != "__init__.py"]
     readers += [ast.parse(p.read_text()) for p in outside]
     assert unread_dataclass_fields(trees, readers) == []
+
+
+def environment_reads(tree):
+    """Line of each os.environ or os.getenv, however os was imported."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute)
+                       and node.attr in ("environ", "getenv"))
+                   or (isinstance(node, ast.alias)
+                       and node.name in ("environ", "getenv"))
+                   or (isinstance(node, ast.Name)
+                       and node.id in ("environ", "getenv"))})
+
+
+def test_scan_flags_an_environment_read():
+    tree = ast.parse("import os\nfrom os import getenv\nos.cpu_count()\n"
+                     "x = os.environ['A']\ny = getenv('B')\n")
+    assert environment_reads(tree) == [2, 4, 5]
+
+
+def test_no_environment_reads():
+    # every setting comes in through a config or an argument: the package
+    # has no hidden environment knobs
+    found = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py"))
+             for line in environment_reads(ast.parse(p.read_text()))]
+    assert found == []
 
 
 def test_lines_fit_79_columns():
