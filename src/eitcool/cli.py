@@ -141,12 +141,16 @@ SCHEMAS = {
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _CHECKS = {
-    "dt_ns": _POSITIVE,
-    "gamma_mhz": _POSITIVE,
-    "mass_amu": _POSITIVE,
-    "tau_us": _POSITIVE,            # the ODF phase axis divides by it
+    # tau_us: the ODF phase axis divides by it
+    **dict.fromkeys(("dt_ns", "gamma_mhz", "mass_amu", "tau_us", "nu_mhz",
+                     "omega_x_mhz", "omega_y_mhz", "omega_z_mhz",
+                     "omega_m_mhz", "t_final_us", "t_fix_us", "t_max_us"),
+                    _POSITIVE),
     **dict.fromkeys(("nbar0", "heating_quanta_per_ms", "nbar", "rabi_mhz",
-                     "tau_pi_us", "gamma_d"), _NONNEGATIVE),
+                     "tau_pi_us", "gamma_d", "omega_sigma_plus_mhz",
+                     "omega_sigma_minus_mhz", "omega_pi_mhz",
+                     "omega_plus_mhz", "omega_minus_mhz", "gamma_clock",
+                     "gamma_zeeman"), _NONNEGATIVE),
     "powers": (lambda v: all(type(x) in (int, float)
                              and 0 <= x <= sys.float_info.max for x in v),
                "entries must be finite numbers >= 0"),
@@ -158,7 +162,7 @@ class ExperimentConfig:
     kind: str
     params: dict
     output_dir: str
-    seed: int = 0
+    seed: int
 
 
 def _coerce(key, value, typ):
@@ -170,10 +174,13 @@ def _coerce(key, value, typ):
     if typ is float and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise ConfigError(
                 f"params.{key}: integer beyond float range") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"params.{key}: must be finite, got {value!r}")
+        return value
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
         # every int key is a count or a truncation
         if value < 1:

@@ -30,10 +30,8 @@ from .operators import FockOperators, displacement_exp, thermal_weights
 
 @dataclass
 class MotionalMode:
-    """One harmonic mode seen by counter-propagating beams along it."""
+    """One Yb-171 mode seen by counter-propagating 369.5 nm beams along it."""
     nu: float                      # mode angular frequency, rad/s
-    mass: float                    # ion mass, kg
-    k_mag: float                   # effective wavevector magnitude, 1/m
     n_max: int
     b: np.ndarray = None           # participation vector, unit norm
 
@@ -42,23 +40,18 @@ class MotionalMode:
                             dtype=float)
         if abs(np.linalg.norm(self.b) - 1.0) > 1e-10:
             raise ContractViolation("participation vector must be unit norm")
-        if self.nu <= 0 or self.mass <= 0 or self.k_mag <= 0:
-            raise ContractViolation("nu, mass, k_mag must be positive")
+        if not self.nu > 0:
+            raise ContractViolation(f"nu must be > 0, got {self.nu!r}")
 
     @property
     def eta(self):
-        """Lamb-Dicke parameter k sqrt(hbar / (2 M nu))."""
-        return self.k_mag * np.sqrt(
-            units.HBAR / (2.0 * self.mass * self.nu))
+        """Lamb-Dicke parameter (units.lamb_dicke)."""
+        return units.lamb_dicke(self.nu)
 
     @classmethod
     def from_lab(cls, nu_mhz, n_max, b=None):
-        """A Yb-171 mode at nu_mhz seen by the 369.5 nm beams."""
-        return cls(nu=units.mhz(nu_mhz),
-                   mass=units.YB171_MASS_AMU * units.AMU,
-                   k_mag=2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM
-                                        * 1e-9),
-                   n_max=n_max, b=b)
+        """A mode at nu_mhz, given as nu/(2 pi) in MHz."""
+        return cls(nu=units.mhz(nu_mhz), n_max=n_max, b=b)
 
 
 @dataclass
@@ -237,15 +230,29 @@ def _fit_exponential(t, nbar, nbar0):
     return 1.0 / tau, tau, float(c), True
 
 
-@functools.cache
-def _blas_threads():
-    """(get, set) thread counts of numpy's OpenBLAS, or None if not found."""
+def _openblas_threads(path, suffix):
+    """(get, set) thread counts of the OpenBLAS linked into the library at
+    path, whose symbols end in suffix, or None if they are not found."""
+    lib = ctypes.CDLL(path)
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        return (lib.scipy_openblas_get_num_threads64_,
-                lib.scipy_openblas_set_num_threads64_)
+        return (getattr(lib, "scipy_openblas_get_num_threads" + suffix),
+                getattr(lib, "scipy_openblas_set_num_threads" + suffix))
     except AttributeError:
         return None
+
+
+@functools.cache
+def _blas_threads():
+    """numpy's OpenBLAS thread counts (_openblas_threads)."""
+    return _openblas_threads(np.linalg._umath_linalg.__file__, "64_")
+
+
+@functools.cache
+def _scipy_blas_threads():
+    """scipy's own OpenBLAS thread counts (_openblas_threads): expm's."""
+    from scipy.linalg import _fblas
+
+    return _openblas_threads(_fblas.__file__, "")
 
 
 def _workers():
@@ -263,14 +270,16 @@ def _cool_runs(params, m, t_list, nbar0, heating, dt):
 
     The runs are independent and spend their time in matrix products
     that release the GIL, so they run concurrently on min(_workers(),
-    runs) threads, with numpy's BLAS at 1 thread until the pool is shut
-    down.  Each entry of the returned list is the run's CoolingResult or
-    the RuntimeError or LinAlgError it raised.  Any other exception
-    propagates, and the runs still queued are cancelled.
+    runs) threads, with numpy's and scipy's BLAS (those found) at 1
+    thread until the pool is shut down.  Each entry of the returned list
+    is the run's CoolingResult or the RuntimeError or LinAlgError it
+    raised.  Any other exception propagates, and the runs still queued
+    are cancelled.
     """
-    get_threads, set_threads = _blas_threads() or (lambda: 1, lambda n: None)
-    threads = get_threads()
-    set_threads(1)
+    blas = [b for b in (_blas_threads(), _scipy_blas_threads()) if b]
+    threads = [get_threads() for get_threads, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
     pool = ThreadPoolExecutor(max(1, min(_workers(), len(params))))
     try:
         futures = [pool.submit(simulate_cooling, pi, m, nbar0, t_list,
@@ -283,7 +292,8 @@ def _cool_runs(params, m, t_list, nbar0, heating, dt):
                 outcomes.append(exc)
     finally:
         pool.shutdown(cancel_futures=True)
-        set_threads(threads)
+        for (_, set_threads), n in zip(blas, threads):
+            set_threads(n)
     return outcomes
 
 

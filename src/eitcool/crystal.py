@@ -13,6 +13,9 @@ import numpy as np
 from . import units
 from .numerics import ContractViolation
 
+N_RESTARTS = 20                 # structure-search restarts
+GRAD_TOL = 1e-10                # stationarity bound on max |grad|, scaled
+
 
 class StructureSearchError(RuntimeError):
     pass
@@ -44,7 +47,7 @@ class CrystalConfig:
     omega_x: float                 # rad/s (in-plane)
     omega_y: float                 # rad/s (transverse, out of plane)
     omega_z: float                 # rad/s (in-plane)
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if min(self.omega_x, self.omega_y, self.omega_z) <= 0:
@@ -134,13 +137,13 @@ def _hex_seed(n, rng):
     return np.concatenate([pts[:, 0], pts[:, 1]])
 
 
-def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
+def equilibrium_positions(c):
     """Equilibrium (x, z) positions in meters, center of charge at origin.
 
     Trust-region Newton-CG descent (exact in-plane Hessian) from
-    perturbed hexagonal patches, one per restart, each polished by a
-    root solve of the gradient; the lowest-energy stationary point with
-    gradient max-norm below grad_tol (dimensionless) wins.  All restarts
+    N_RESTARTS perturbed hexagonal patches, each polished by a root
+    solve of the gradient; the lowest-energy stationary point with
+    gradient max-norm below GRAD_TOL (dimensionless) wins.  All restarts
     descend together as one problem: their summed energy is separable,
     so its minimisers are the restarts' own and its Hessian is
     block-diagonal, applied block by block.
@@ -150,7 +153,7 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
         return np.zeros((1, 2))
     alpha = (c.omega_x / c.omega_z)**2
     rng = np.random.default_rng(c.seed)
-    starts = np.array([_hex_seed(n, rng) for _ in range(n_restarts)])
+    starts = np.array([_hex_seed(n, rng) for _ in range(N_RESTARTS)])
     shape = starts.shape
 
     def energy(w):
@@ -173,7 +176,7 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
 
     descended = minimize(energy, starts.ravel(), jac=True, hessp=hessp,
                          method="trust-ncg",
-                         options={"gtol": grad_tol, "maxiter": 2000}).x
+                         options={"gtol": GRAD_TOL, "maxiter": 2000}).x
     best = None
     best_v = np.inf
     from scipy.optimize import root
@@ -185,12 +188,12 @@ def equilibrium_positions(c, n_restarts=20, grad_tol=1e-10):
         u = root(lambda w: _potential_and_grad(w, alpha)[1], u,
                  jac=lambda w: _hessian_inplane(w, alpha)).x
         v, g = _potential_and_grad(u, alpha)
-        if np.abs(g).max() < grad_tol and v < best_v - 1e-12:
+        if np.abs(g).max() < GRAD_TOL and v < best_v - 1e-12:
             best_v, best = v, u
     if best is None:
         raise StructureSearchError(
-            f"no equilibrium with |grad| < {grad_tol} in "
-            f"{n_restarts} restarts")
+            f"no equilibrium with |grad| < {GRAD_TOL} in "
+            f"{N_RESTARTS} restarts")
     x, z = best[:n], best[n:]
     x -= x.mean()
     z -= z.mean()

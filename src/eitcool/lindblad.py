@@ -70,28 +70,27 @@ class LindbladSystem:
         return L.reshape(d * d, d * d)
 
 
-def _finalize(mat, trace_tol=1e-6):
+def _finalize(mat):
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-6:
         raise RuntimeError(f"trace drifted to {tr}")
     return DensityMatrix(mat / tr)
 
 
-def evolve(sys, rho0, t_list, rel_tol=1e-8, abs_tol=1e-10):
+def evolve(sys, rho0, t_list):
     """Trajectory of density matrices at the requested times.
 
-    Integrates the full generator with scipy's adaptive RK45 from t = 0;
-    this is the reference the fixed-step SplitPropagator is checked
-    against.
+    Integrates the full generator from t = 0 with integrate_ode's RK45 at
+    its default tolerances, the reference the fixed-step SplitPropagator
+    is checked against.
     """
     t_list = np.asarray(t_list, dtype=float)
     d = len(sys.hamiltonian)
     rho = rho0.matrix if isinstance(rho0, DensityMatrix) else rho0
     skip = int(t_list[0] != 0.0)        # 1 when t = 0 is prepended
     states = integrate_ode(lambda y: sys.rhs_matrix(y.reshape(d, d)).ravel(),
-                           np.r_[0.0, t_list] if skip else t_list, rho,
-                           rel_tol, abs_tol)
+                           np.r_[0.0, t_list] if skip else t_list, rho)
     return [_finalize(s.reshape(d, d)) for s in states[skip:]]
 
 
@@ -167,11 +166,11 @@ def run_intervals(make, rho, t_list, dt_target, sample):
                     default=0.0)
 
 
-def steadystate(sys, check_tol=1e-9):
+def steadystate(sys):
     """Steady state of the Lindblad generator (dims <= 64 only).
 
     Solves the dense d^2 x d^2 linear system with the trace constraint
-    replacing one row; the residual contract ||L rho_ss||_max < check_tol
+    replacing one row; the residual contract ||L rho_ss||_max <= 1e-9
     is evaluated on the generator normalized by its largest entry.
     """
     d = len(sys.hamiltonian)
@@ -188,9 +187,9 @@ def steadystate(sys, check_tol=1e-9):
         raise NonUniqueSteadyStateError(
             "Liouvillian linear system is singular") from exc
     resid = np.abs(L @ x).max()
-    if resid > check_tol:
+    if resid > 1e-9:
         raise NonUniqueSteadyStateError(
-            f"null-space residual {resid:.3e} exceeds {check_tol:.1e}; "
+            f"null-space residual {resid:.3e} exceeds 1.0e-09; "
             "steady state may be non-unique")
     if d <= 32:
         sv = np.linalg.svd(L, compute_uv=False)

@@ -37,16 +37,16 @@ class DensityMatrix:
     def __post_init__(self):
         self.matrix = square_matrix(self.matrix, "density matrix")
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-9, pos_tol=1e-8):
+    def validate(self):
         m = self.matrix
         scale = max(np.abs(m).max(), 1e-300)
-        if np.abs(m - m.conj().T).max() > herm_tol * max(1.0, scale):
+        if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, scale):
             raise ContractViolation("density matrix is not Hermitian")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-9:
             raise ContractViolation(f"trace {tr} deviates from 1")
         vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if vals.min() < -pos_tol:
+        if vals.min() < -1e-8:
             raise ContractViolation(
                 f"negative eigenvalue {vals.min():.3e}")
         return self

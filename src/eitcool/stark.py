@@ -37,6 +37,11 @@ class StarkParams:
     gamma_clock: float             # clock envelope rate constant, 1/s
     gamma_zeeman: float            # Zeeman envelope rate constant, 1/s
 
+    def __post_init__(self):
+        if not (self.gamma_clock >= 0 and self.gamma_zeeman >= 0):
+            raise ContractViolation(
+                "gamma_clock and gamma_zeeman must be >= 0")
+
     @classmethod
     def from_mhz(cls, omega_plus, omega_minus, omega_pi, delta,
                  delta_p=units.YB171_P_HYPERFINE_MHZ,
@@ -182,12 +187,12 @@ def _grid_costs(t, y, env, step, n_grid):
     return costs.reshape(-1)[:n_grid]
 
 
-def _estimate_oscillation(t, y, env, n_best=3):
+def _estimate_oscillation(t, y, env):
     """Candidate |shift| values for y ~ sin^2(shift t) * env.
 
     Grid search over the resolvable band, evaluated in fixed-size chunks
     of factorised cosine sums (_grid_costs), followed by bounded Brent
-    refinement (minimize_scalar) of the n_best separated local minima,
+    refinement (minimize_scalar) of the three best separated local minima,
     each between its neighbouring grid points on the direct cost; the
     true frequency is among the candidates as long as the envelope guess
     is roughly right.
@@ -206,7 +211,7 @@ def _estimate_oscillation(t, y, env, n_best=3):
     interior = np.r_[False, (costs[1:-1] < costs[:-2])
                      & (costs[1:-1] <= costs[2:]), False]
     idx = np.nonzero(interior)[0]
-    idx = idx[np.argsort(costs[idx])][:n_best]
+    idx = idx[np.argsort(costs[idx])][:3]
     if idx.size == 0:
         idx = np.array([int(np.argmin(costs))])
 

@@ -283,11 +283,6 @@ def ratio_nbar_sigma(nbar, p_red, p_blue, sigma_red, sigma_blue, p, t=None):
     return float(sigma_ratio / _model_ratio(p, t)(nbar)[1])
 
 
-# Lamb-Dicke factor of the ODF beams: Yb-171 S-P Raman wavevector and mass
-_ODF_K_MAG = 2.0 * np.pi / (units.YB171_S_P_WAVELENGTH_NM * 1e-9)
-_ODF_MASS = units.YB171_MASS_AMU * units.AMU
-
-
 @dataclass
 class OdfParams:
     """Spin-echo ODF sequence parameters.
@@ -324,8 +319,7 @@ def odf_alpha(o, mode, j=0):
     if np.any(w <= 0):
         raise ContractViolation("mode frequency must be positive")
     rabi = o.rabi[j] if o.rabi.size > 1 else o.rabi[0]
-    eta = _ODF_K_MAG * np.sqrt(units.HBAR / (2.0 * _ODF_MASS * w))
-    amp = rabi * b_j * eta
+    amp = rabi * b_j * units.lamb_dicke(w)
     mu = np.reshape(o.mu_r, np.shape(o.mu_r) + (1,) * np.ndim(amp))
     tau, s = o.tau, o.tau + o.tau_pi
     delta = mu - w

@@ -305,6 +305,22 @@ class TestValidation:
         ("fig4d", "params.nbar=-1", "params.nbar"),
         ("fig4", "params.mass_amu=-1", "params.mass_amu"),
         ("fig4", "params.mass_amu=0", "params.mass_amu"),
+        ("fig2b", "params.t_final_us=-1", "params.t_final_us"),
+        ("fig2e", "params.t_fix_us=-1", "params.t_fix_us"),
+        ("fig1b", "params.omega_pi_mhz=-1", "params.omega_pi_mhz"),
+        ("fig2d", "params.nu_mhz=-1", "params.nu_mhz"),
+        ("fig4", "params.omega_x_mhz=-1", "params.omega_x_mhz"),
+        ("fig4d", "params.omega_m_mhz=-1", "params.omega_m_mhz"),
+        # these ran to exit 0 with nonsense artifacts: a trace at
+        # negative times, growing Ramsey envelopes, every sample at t = 0,
+        # an all-NaN trace, and a spectrum grid through infinity
+        ("fig2d", "params.t_max_us=-1", "params.t_max_us"),
+        ("appendixE-drive", "params.gamma_clock=-5", "params.gamma_clock"),
+        ("appendixE-probe", "params.gamma_zeeman=-100",
+         "params.gamma_zeeman"),
+        ("fig2b", "params.t_final_us=0", "params.t_final_us"),
+        ("fig2d", "params.nu_mhz=NaN", "params.nu_mhz"),
+        ("fig5", "params.grid_max_mhz=Infinity", "params.grid_max_mhz"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):

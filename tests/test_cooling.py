@@ -40,6 +40,11 @@ class TestMotionalMode:
         with pytest.raises(ContractViolation):
             MotionalMode.from_lab(2.38, n_max=10, b=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("nu_mhz", [0.0, -1.0, np.nan])
+    def test_frequency_not_above_zero_rejected(self, nu_mhz):
+        with pytest.raises(ContractViolation, match="nu"):
+            MotionalMode.from_lab(nu_mhz, n_max=10)
+
 
 def _hamiltonian_moving_blocks(p, m):
     """Reference moving-ion Hamiltonian written block by block."""
@@ -375,6 +380,20 @@ def blas_at_two():
     set_threads(before)
 
 
+@pytest.fixture
+def scipy_blas_at_two():
+    """scipy's own OpenBLAS at 2 threads for the test, then back as it
+    was; yields its get-count function.  Skips where it is not found."""
+    found = cooling._scipy_blas_threads()
+    if found is None:
+        pytest.skip("scipy's OpenBLAS symbols not found")
+    get_threads, set_threads = found
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
 def on_workers(monkeypatch, n):
     monkeypatch.setattr(cooling, "_workers", lambda: n)
 
@@ -496,19 +515,21 @@ class TestWorkers:
         assert cooling._workers() == 1
 
     @needs_blas
-    def test_pool_pins_blas_then_restores(self, monkeypatch, blas_at_two):
+    def test_pool_pins_blas_then_restores(self, monkeypatch, blas_at_two,
+                                          scipy_blas_at_two):
+        # numpy's OpenBLAS and scipy's own, which expm runs on
         seen, real = [], cooling.simulate_cooling
 
         def spy(*args, **kwargs):
-            seen.append(blas_at_two())
+            seen.append((blas_at_two(), scipy_blas_at_two()))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cooling, "simulate_cooling", spy)
         on_workers(monkeypatch, 2)
         grid = TestScanWorkers.GRID
         detuning_scan(P, TestScanWorkers.M, grid, 1e-7, dt=8e-9)
-        assert seen == [1] * grid.size
-        assert blas_at_two() == 2
+        assert seen == [(1, 1)] * grid.size
+        assert (blas_at_two(), scipy_blas_at_two()) == (2, 2)
 
     @needs_blas
     @pytest.mark.parametrize("env", [

@@ -54,11 +54,12 @@ class TestEquilibrium:
         pos = equilibrium_positions(c)
         assert np.abs(pos.mean(axis=0)).max() < 1e-12 * np.abs(pos).max()
 
-    def test_single_restart_reaches_gradient_tolerance(self):
-        # descent alone stops above grad_tol on energy round-off in most
+    def test_single_restart_reaches_gradient_tolerance(self, monkeypatch):
+        # descent alone stops above GRAD_TOL on energy round-off in most
         # restarts; each one must still end at a stationary point
+        monkeypatch.setattr(crystal, "N_RESTARTS", 1)
         for seed in range(8):
-            equilibrium_positions(make(12, seed=seed), n_restarts=1)
+            equilibrium_positions(make(12, seed=seed))
 
     def test_deterministic_given_seed(self):
         a = equilibrium_positions(make(5, seed=3))
@@ -76,13 +77,13 @@ class TestEquilibrium:
             calls.append(args)
             return real(*args, **kwargs)
 
+        monkeypatch.setattr(crystal, "N_RESTARTS", 4)
         monkeypatch.setattr(crystal, "minimize", spy)
-        ref = equilibrium_positions(make(5, seed=3), n_restarts=4)
+        ref = equilibrium_positions(make(5, seed=3))
         assert len(calls) == 1
         assert np.size(calls[0][1]) == 4 * 2 * 5
-        monkeypatch.undo()
-        assert np.array_equal(
-            ref, equilibrium_positions(make(5, seed=3), n_restarts=4))
+        monkeypatch.setattr(crystal, "minimize", real)
+        assert np.array_equal(ref, equilibrium_positions(make(5, seed=3)))
 
 
 def per_restart_search(c, n_restarts=20, grad_tol=1e-10):

@@ -30,6 +30,12 @@ def sample_traces(p, n_points=800):
     return t, [ramsey_signal(p, q, t) for q in QUBITS]
 
 
+@pytest.mark.parametrize("key", ["gamma_clock", "gamma_zeeman"])
+def test_negative_envelope_rate_rejected(key):
+    with pytest.raises(ContractViolation, match=key):
+        DRIVE.replace(**{key: -1.0})
+
+
 class TestShifts:
     def test_clock_pi_only_closed_form(self):
         p = DRIVE.replace(omega_plus=0.0, omega_minus=0.0)

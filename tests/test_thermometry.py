@@ -500,6 +500,22 @@ class TestOdf:
         # continuity across the switch is only first-order tight
         assert abs(a3 / a1 - 10.0) < 0.5
 
+    def test_eta_is_the_sideband_modes_bit_for_bit(self, monkeypatch):
+        # one Lamb-Dicke formula: the eta odf_alpha scales by at each
+        # mode frequency is the one a MotionalMode at it reports
+        nus = [0.3, 1.22, 2.38, 7.5]
+        etas = [MotionalMode.from_lab(nu, n_max=4).eta for nu in nus]
+        seen, real = [], units.lamb_dicke
+        monkeypatch.setattr(units, "lamb_dicke",
+                            lambda w: seen.append(real(w)) or seen[-1])
+        o = odf_at_phi(0.37)
+        odf_alpha(o, (units.mhz(np.array(nus)), 1.0))
+        assert len(seen) == 1
+        assert seen[0].tolist() == etas
+        for nu, eta in zip(nus, etas):
+            odf_alpha(o, (units.mhz(nu), 1.0))
+            assert seen[-1] == eta
+
     def test_zero_rabi_gives_zero(self):
         o = odf_at_phi(0.37, rabi_mhz=0.0)
         assert odf_alpha(o, (ODF_MODE.frequencies[0], 1.0)) == 0.0
