@@ -387,8 +387,9 @@ def _run_sideband(cfg):
     sp = thermo_mod.SidebandParams(mode=mode, rabi=units.mhz(p["rabi_mhz"]))
     t = np.linspace(0.0, p["t_max_us"] * 1e-6, p["n_points"])
     table = thermo_mod.sideband_populations(sp, p["side"], t)
+    # a mixture renormalised over a truncated tail is a failed run
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
+        warnings.simplefilter("error", TruncationWarning)
         trace = thermo_mod.thermal_average(table, p["nbar"])
     return {"sideband.csv": (["t_us", "P_up"], [t * 1e6, trace])}
 
@@ -423,11 +424,11 @@ def _run_stark(cfg):
             ["t_us", "P_clock", "P_zeeman_plus", "P_zeeman_minus"],
             [t * 1e6, *traces]),
         "stark_shifts.json": {
-            "clock_shift_mhz": units.to_mhz(stark_mod.clock_shift(sp)),
+            "clock_shift_mhz": units.to_mhz(stark_mod.shift(sp, "clock")),
             "zeeman_plus_shift_mhz":
-                units.to_mhz(stark_mod.zeeman_shift(sp, +1)),
+                units.to_mhz(stark_mod.shift(sp, "zeeman+")),
             "zeeman_minus_shift_mhz":
-                units.to_mhz(stark_mod.zeeman_shift(sp, -1)),
+                units.to_mhz(stark_mod.shift(sp, "zeeman-")),
         },
     }
     if p["fit"]:

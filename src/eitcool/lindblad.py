@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ContractViolation, integrate_ode
-from .operators import DensityMatrix, square_matrix
+from .operators import square_matrix
 
 # the dense Liouvillian (d^2 x d^2) and with it the steady-state solve
 # are refused above this total dimension
@@ -75,11 +75,11 @@ def _finalize(mat):
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-6:
         raise RuntimeError(f"trace drifted to {tr}")
-    return DensityMatrix(mat / tr)
+    return mat / tr
 
 
 def evolve(sys, rho0, t_list):
-    """Trajectory of density matrices at the requested times.
+    """Density matrices, as (d, d) arrays, at the requested times.
 
     Integrates the full generator from t = 0 with integrate_ode's RK45 at
     its default tolerances, the reference the fixed-step SplitPropagator
@@ -87,10 +87,9 @@ def evolve(sys, rho0, t_list):
     """
     t_list = np.asarray(t_list, dtype=float)
     d = len(sys.hamiltonian)
-    rho = rho0.matrix if isinstance(rho0, DensityMatrix) else rho0
     skip = int(t_list[0] != 0.0)        # 1 when t = 0 is prepended
     states = integrate_ode(lambda y: sys.rhs_matrix(y.reshape(d, d)).ravel(),
-                           np.r_[0.0, t_list] if skip else t_list, rho)
+                           np.r_[0.0, t_list] if skip else t_list, rho0)
     return [_finalize(s.reshape(d, d)) for s in states[skip:]]
 
 

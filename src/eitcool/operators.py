@@ -1,8 +1,9 @@
 """Quantum operator algebra on finite Hilbert spaces.
 
-Dense complex matrices throughout, each carrying its own dimension:
-truncated Fock ladder operators, thermal weights, displacement
-exponentials, and the density-matrix shape and physicality checks.
+Dense complex matrices throughout: truncated Fock ladder operators,
+thermal weights and displacement exponentials.  A density matrix is a
+plain complex (d, d) array; check_density_matrix checks its shape and
+physicality.
 """
 
 from dataclasses import dataclass, field
@@ -30,26 +31,19 @@ def square_matrix(m, what):
     return m
 
 
-@dataclass
-class DensityMatrix:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = square_matrix(self.matrix, "density matrix")
-
-    def validate(self):
-        m = self.matrix
-        scale = max(np.abs(m).max(), 1e-300)
-        if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, scale):
-            raise ContractViolation("density matrix is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-9:
-            raise ContractViolation(f"trace {tr} deviates from 1")
-        vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if vals.min() < -1e-8:
-            raise ContractViolation(
-                f"negative eigenvalue {vals.min():.3e}")
-        return self
+def check_density_matrix(m):
+    """ContractViolation unless m is a (d, d) Hermitian, unit-trace,
+    positive semidefinite matrix."""
+    m = square_matrix(m, "density matrix")
+    scale = max(np.abs(m).max(), 1e-300)
+    if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, scale):
+        raise ContractViolation("density matrix is not Hermitian")
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-9:
+        raise ContractViolation(f"trace {tr} deviates from 1")
+    vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if vals.min() < -1e-8:
+        raise ContractViolation(f"negative eigenvalue {vals.min():.3e}")
 
 
 @dataclass

@@ -63,7 +63,7 @@ def absorption_numeric(p, grid):
         try:
             h = hamiltonian_rest(p.replace(delta_p=delta_p))
             ss = steadystate(LindbladSystem(h, cops))
-            values[i] = ss.matrix[0, 0].real
+            values[i] = ss[0, 0].real
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             values[i] = np.nan
             failed[i] = True

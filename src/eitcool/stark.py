@@ -116,16 +116,9 @@ def _rates(p, qubit):
     return tuple(math.fsum(row * x) for row in _coefficients(p, qubit))
 
 
-def clock_shift(p):
-    """Differential shift of the clock qubit, rad/s."""
-    return _rates(p, "clock")[0]
-
-
-def zeeman_shift(p, sign):
-    """Differential shift of the m = +1 or m = -1 Zeeman qubit, rad/s."""
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
-    return _rates(p, "zeeman+" if sign > 0 else "zeeman-")[0]
+def shift(p, qubit):
+    """Differential shift of one qubit of QUBITS, rad/s."""
+    return _rates(p, qubit)[0]
 
 
 def ramsey_signal(p, qubit, t):

@@ -316,7 +316,7 @@ def odf_alpha(o, mode, j=0):
     the resonant displacement) is used instead.
     """
     w, b_j = (np.asarray(v, dtype=float) for v in mode)
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ContractViolation("mode frequency must be positive")
     rabi = o.rabi[j] if o.rabi.size > 1 else o.rabi[0]
     amp = rabi * b_j * units.lamb_dicke(w)

@@ -425,6 +425,17 @@ class TestFailurePaths:
         assert "ContractViolation" in err and "at least 2 distinct" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_truncated_sideband_mixture_writes_nothing(self, tmp_path,
+                                                       capsys):
+        # nbar = 20 leaves 22 % of the thermal weight beyond n_max = 30
+        code, artifacts = cli.run(
+            "fig2d", ["params.nbar=20", f"output_dir={tmp_path}"])
+        assert code == 2 and artifacts == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: TruncationWarning: ")
+        assert "beyond n_max=30" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_points_listed_in_failures_json(self, tmp_path,
                                                    monkeypatch):
         from eitcool import spectrum

@@ -20,8 +20,7 @@ from eitcool.cooling import (AllPointsFailedError, MotionalMode,
                              simulate_cooling)
 from eitcool.lindblad import LindbladSystem, SplitPropagator, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import (DensityMatrix, FockOperators,
-                               displacement_exp)
+from eitcool.operators import FockOperators, displacement_exp
 
 P = EitParams.from_mhz(18.03, 16.74, 6.67, 51.95, 55.6, 4.6)
 
@@ -152,7 +151,7 @@ class TestSimulate:
         sys = LindbladSystem(h, cops)
         rho0 = doppler_initial_state(m, 0.5)
         t = np.array([2e-6])
-        ref = evolve(sys, rho0, t)[-1].matrix
+        ref = evolve(sys, rho0, t)[-1]
         n_op = np.kron(np.eye(4), np.diag(np.arange(nf)))
         nbar_ref = np.real(np.trace(n_op @ ref))
         res = simulate_cooling(P, m, 0.5, t, heating=heating, dt=2e-9)

@@ -6,8 +6,8 @@ module reads the environment.
 
 No linter ships with the project, so these scans are the unused-import,
 dead-private-name, test-only-code, unread-field and environment-read
-checks.  __init__.py is skipped by the import scan: its imports are the
-package's re-exports.
+checks.  The import scan covers every module, __init__.py included,
+so a re-export at the package root fails it.
 """
 
 import ast
@@ -38,7 +38,7 @@ def test_scan_flags_an_unused_import():
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     found = [f"{p.name}:{line}: {name}" for p in modules
              for line, name in unused_imports(ast.parse(p.read_text()))]
@@ -117,15 +117,13 @@ def test_scan_flags_an_unread_public_name():
 
 
 def test_no_test_only_public_names():
-    # a re-export in __init__.py is not a read; the tests other than the
-    # acceptance criteria do not count either, so a name only they reach
-    # is flagged
+    # the tests other than the acceptance criteria do not count, so a
+    # name only they reach is flagged
     trees = {p.name: ast.parse(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     outside = [*sorted((ROOT / "perfbench").rglob("*.py")),
                ROOT / "tests" / "test_acceptance.py"]
-    readers = [t for name, t in trees.items() if name != "__init__.py"]
-    readers += [ast.parse(p.read_text()) for p in outside]
+    readers = [*trees.values(), *(ast.parse(p.read_text()) for p in outside)]
     assert unread_public_names(trees, readers) == []
 
 
@@ -165,14 +163,13 @@ def test_scan_flags_an_unread_dataclass_field():
 
 
 def test_no_dataclass_field_only_tests_read():
-    # a field is read when the package (not __init__.py), the benchmark
-    # harness or the acceptance criteria load it as an attribute
+    # a field is read when the package, the benchmark harness or the
+    # acceptance criteria load it as an attribute
     trees = {p.name: ast.parse(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     outside = [*sorted((ROOT / "perfbench").rglob("*.py")),
                ROOT / "tests" / "test_acceptance.py"]
-    readers = [t for name, t in trees.items() if name != "__init__.py"]
-    readers += [ast.parse(p.read_text()) for p in outside]
+    readers = [*trees.values(), *(ast.parse(p.read_text()) for p in outside)]
     assert unread_dataclass_fields(trees, readers) == []
 
 

@@ -9,7 +9,7 @@ from eitcool.lindblad import (LindbladSystem, NonUniqueSteadyStateError,
                               SplitPropagator, evolve, run_intervals,
                               steadystate)
 from eitcool.numerics import ContractViolation
-from eitcool.operators import DensityMatrix
+from eitcool.operators import check_density_matrix
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |g><e|
 
@@ -104,7 +104,7 @@ class TestEvolution:
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         t = np.linspace(0.0, 2.0, 7)
         traj = evolve(sys, rho0, t)
-        pe = np.array([r.matrix[0, 0].real for r in traj])
+        pe = np.array([r[0, 0].real for r in traj])
         assert np.abs(pe - np.exp(-gamma * t)).max() < 1e-7
 
     def test_coherence_decays_at_half_rate(self):
@@ -113,14 +113,14 @@ class TestEvolution:
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         t = np.array([0.0, 0.7, 1.4])
         traj = evolve(sys, rho0, t)
-        coh = np.array([r.matrix[0, 1].real for r in traj])
+        coh = np.array([r[0, 1].real for r in traj])
         assert np.abs(coh - 0.5 * np.exp(-0.5 * gamma * t)).max() < 1e-7
 
     def test_trace_and_positivity_preserved(self):
         sys = two_level(2.0, 0.5, 1.0)
         rho0 = np.diag([0.3, 0.7]).astype(complex)
         for r in evolve(sys, rho0, np.linspace(0.0, 5.0, 6)):
-            r.validate()
+            check_density_matrix(r)
 
     def test_split_matches_rk45_with_heating(self):
         # 3-level ladder with decay plus a weak symmetric heating pair
@@ -138,7 +138,7 @@ class TestEvolution:
             lambda dt: SplitPropagator(heff, dt, sys.collapse),
             rho0.copy(), t, 2e-4, lambda r: r.copy())
         for a_, b_ in zip(r_rk, r_sp):
-            assert np.abs(a_.matrix - b_).max() < 1e-3
+            assert np.abs(a_ - b_).max() < 1e-3
 
 
 class TestSteadyState:
@@ -149,18 +149,18 @@ class TestSteadyState:
             ss = steadystate(sys)
             expected = (omega**2 / 4.0) / (delta**2 + gamma**2 / 4.0
                                            + omega**2 / 2.0)
-            assert abs(ss.matrix[0, 0].real - expected) < 1e-10
+            assert abs(ss[0, 0].real - expected) < 1e-10
 
     def test_null_space_matches_long_time(self):
         sys = two_level(1.7, 0.4, 1.1)
         a = steadystate(sys)
         b = evolve(sys, np.diag([1.0, 0.0]).astype(complex), [50.0])[-1]
-        assert np.abs(a.matrix - b.matrix).max() < 1e-6
+        assert np.abs(a - b).max() < 1e-6
 
     def test_generator_annihilates_steady_state(self):
         sys = two_level(2.0, -0.3, 0.9)
         ss = steadystate(sys)
-        resid = np.abs(sys.rhs_matrix(ss.matrix)).max()
+        resid = np.abs(sys.rhs_matrix(ss)).max()
         assert resid < 1e-8 * max(np.abs(sys.hamiltonian).max(), 1.0)
 
     def test_decoupled_sector_flagged_non_unique(self):

@@ -5,35 +5,36 @@ import numpy as np
 import pytest
 
 from eitcool.numerics import ContractViolation
-from eitcool.operators import (DensityMatrix, FockOperators, TruncationError,
-                               displacement_exp, thermal_weights)
+from eitcool.operators import (FockOperators, TruncationError,
+                               check_density_matrix, displacement_exp,
+                               thermal_weights)
 
 
 class TestDensityMatrix:
     def test_validate_accepts_physical_state(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
-        DensityMatrix(rho).validate()
+        check_density_matrix(rho)
 
     def test_validate_rejects_bad_trace(self):
         rho = np.diag([0.5, 0.6]).astype(complex)
         with pytest.raises(ContractViolation):
-            DensityMatrix(rho).validate()
+            check_density_matrix(rho)
 
     def test_validate_rejects_negative_eigenvalue(self):
         rho = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
         with pytest.raises(ContractViolation):
-            DensityMatrix(rho).validate()
+            check_density_matrix(rho)
 
     def test_validate_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ContractViolation):
-            DensityMatrix(rho).validate()
+            check_density_matrix(rho)
 
     def test_shape_mismatch_rejected(self):
         # the dimension is the matrix's own: empty, non-square or 1-D fail
         for m in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)):
-            with pytest.raises(ContractViolation):
-                DensityMatrix(m)
+            with pytest.raises(ContractViolation, match="shape"):
+                check_density_matrix(m)
 
 
 class TestFockOperators:
@@ -68,7 +69,7 @@ class TestThermal:
 
     def test_state_trace_one_and_deficit(self):
         w = thermal_weights(40, 2.0)
-        DensityMatrix(np.diag(w / w.sum())).validate()
+        check_density_matrix(np.diag(w / w.sum()))
         # the weight held is 1 minus the geometric tail beyond n_max
         assert abs((1.0 - w.sum()) - (2.0 / 3.0)**41) < 1e-12
 

@@ -15,8 +15,7 @@ from eitcool.crystal import (CrystalConfig, equilibrium_positions,
                              transverse_modes)
 from eitcool.lindblad import LindbladSystem, evolve
 from eitcool.numerics import ContractViolation
-from eitcool.operators import (DensityMatrix, TruncationWarning,
-                               thermal_weights)
+from eitcool.operators import TruncationWarning, thermal_weights
 from eitcool.thermometry import (CapacityError, InversionRangeError,
                                  OdfParams, SidebandParams,
                                  UnphysicalRatioError,
@@ -260,7 +259,7 @@ class TestThermalAverage:
         rho0 = np.kron(np.diag([0.0, 1.0]), np.diag(w)).astype(complex)
         proj_up = np.kron(np.diag([1.0, 0.0]), np.eye(nf))
         t = np.linspace(0.2, 1.0, 4) * p.blue_pi_time()
-        direct = [np.real(np.trace(proj_up @ r.matrix))
+        direct = [np.real(np.trace(proj_up @ r))
                   for r in evolve(sys, rho0, t)]
         tab = sideband_populations(p, "blue", t)
         with warnings.catch_warnings():
@@ -519,6 +518,11 @@ class TestOdf:
     def test_zero_rabi_gives_zero(self):
         o = odf_at_phi(0.37, rabi_mhz=0.0)
         assert odf_alpha(o, (ODF_MODE.frequencies[0], 1.0)) == 0.0
+
+    def test_nan_mode_frequency_rejected(self):
+        o = OdfParams(rabi=1e5, mu_r=1e7, tau=1e-5)
+        with pytest.raises(ContractViolation, match="positive"):
+            odf_alpha(o, (np.nan, 1.0))
 
     def test_signal_monotone_in_nbar(self):
         o = odf_at_phi(0.37)
