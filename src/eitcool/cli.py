@@ -40,120 +40,111 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# per-kind parameter schema: key -> (type, default); a tuple type lists
-# the values a choice-valued key may take
+# allowed values of a resolved key: (predicate, requirement)
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+# every int key is a count or a truncation
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_POWERS = (lambda v: len(v) > 0 and all(
+    type(x) in (int, float) and 0 <= x <= sys.float_info.max for x in v),
+    "must be a non-empty list of finite numbers >= 0")
+
+# per-kind parameter schema: key -> (type, default, allowed); a tuple
+# type lists the values a choice-valued key may take, and allowed is
+# None for a key with no range
 _EIT_KEYS = {
-    "omega_sigma_plus_mhz": (float, _REQUIRED),
-    "omega_sigma_minus_mhz": (float, _REQUIRED),
-    "omega_pi_mhz": (float, _REQUIRED),
-    "delta_d_mhz": (float, _REQUIRED),
-    "delta_p_mhz": (float, _REQUIRED),
-    "delta_b_mhz": (float, _REQUIRED),
-    "gamma_mhz": (float, units.YB171_GAMMA_MHZ),
+    "omega_sigma_plus_mhz": (float, _REQUIRED, _NONNEGATIVE),
+    "omega_sigma_minus_mhz": (float, _REQUIRED, _NONNEGATIVE),
+    "omega_pi_mhz": (float, _REQUIRED, _NONNEGATIVE),
+    "delta_d_mhz": (float, _REQUIRED, None),
+    "delta_p_mhz": (float, _REQUIRED, None),
+    "delta_b_mhz": (float, _REQUIRED, None),
+    "gamma_mhz": (float, units.YB171_GAMMA_MHZ, _POSITIVE),
 }
 
 # shared by the three cooling kinds, which also take dt_ns
 _COOL_KEYS = {
     **_EIT_KEYS,
-    "nu_mhz": (float, _REQUIRED),
-    "nbar0": (float, 7.0),
-    "heating_quanta_per_ms": (float, 0.0),
-    "n_max": (int, 25),
+    "nu_mhz": (float, _REQUIRED, _POSITIVE),
+    "nbar0": (float, 7.0, _NONNEGATIVE),
+    "heating_quanta_per_ms": (float, 0.0, _NONNEGATIVE),
+    "n_max": (int, 25, _COUNT),
 }
 
 SCHEMAS = {
     "spectrum": {
         **_EIT_KEYS,
-        "grid_min_mhz": (float, _REQUIRED),
-        "grid_max_mhz": (float, _REQUIRED),
-        "n_points": (int, 400),
-        "numeric": (bool, True),
+        "grid_min_mhz": (float, _REQUIRED, None),
+        "grid_max_mhz": (float, _REQUIRED, None),
+        "n_points": (int, 400, _COUNT),
+        "numeric": (bool, True, None),
     },
     "cool": {
         **_COOL_KEYS,
-        "t_final_us": (float, 150.0),
-        "n_times": (int, 12),
-        "dt_ns": (float, 2.0),
+        "t_final_us": (float, 150.0, _POSITIVE),
+        "n_times": (int, 12, _COUNT),
+        "dt_ns": (float, 2.0, _POSITIVE),
     },
     "scan-detuning": {
         **_COOL_KEYS,
-        "scan_min_mhz": (float, _REQUIRED),
-        "scan_max_mhz": (float, _REQUIRED),
-        "n_points": (int, 25),
-        "t_fix_us": (float, 150.0),
-        "dt_ns": (float, 4.0),
+        "scan_min_mhz": (float, _REQUIRED, None),
+        "scan_max_mhz": (float, _REQUIRED, None),
+        "n_points": (int, 25, _COUNT),
+        "t_fix_us": (float, 150.0, _POSITIVE),
+        "dt_ns": (float, 4.0, _POSITIVE),
     },
     "scan-power": {
         **_COOL_KEYS,
-        "which": (("drive", "probe"), _REQUIRED),
-        "powers": (list, _REQUIRED),
-        "t_final_us": (float, 150.0),
-        "n_times": (int, 12),
-        "dt_ns": (float, 4.0),
+        "which": (("drive", "probe"), _REQUIRED, None),
+        "powers": (list, _REQUIRED, _POWERS),
+        "t_final_us": (float, 150.0, _POSITIVE),
+        "n_times": (int, 12, _COUNT),
+        "dt_ns": (float, 4.0, _POSITIVE),
     },
     "modes": {
-        "n_ions": (int, _REQUIRED),
-        "omega_x_mhz": (float, _REQUIRED),
-        "omega_y_mhz": (float, _REQUIRED),
-        "omega_z_mhz": (float, _REQUIRED),
-        "mass_amu": (float, units.YB171_MASS_AMU),
+        "n_ions": (int, _REQUIRED, _COUNT),
+        "omega_x_mhz": (float, _REQUIRED, _POSITIVE),
+        "omega_y_mhz": (float, _REQUIRED, _POSITIVE),
+        "omega_z_mhz": (float, _REQUIRED, _POSITIVE),
+        "mass_amu": (float, units.YB171_MASS_AMU, _POSITIVE),
     },
     "sideband": {
-        "nu_mhz": (float, _REQUIRED),
-        "rabi_mhz": (float, _REQUIRED),
-        "side": (("red", "blue"), "blue"),
-        "n_spins": (int, 1),
-        "nbar": (float, 0.06),
-        "n_max": (int, 30),
-        "t_max_us": (float, _REQUIRED),
-        "n_points": (int, 200),
+        "nu_mhz": (float, _REQUIRED, _POSITIVE),
+        "rabi_mhz": (float, _REQUIRED, _NONNEGATIVE),
+        "side": (("red", "blue"), "blue", None),
+        "n_spins": (int, 1, _COUNT),
+        "nbar": (float, 0.06, _NONNEGATIVE),
+        "n_max": (int, 30, _COUNT),
+        "t_max_us": (float, _REQUIRED, _POSITIVE),
+        "n_points": (int, 200, _COUNT),
     },
     "odf": {
-        "omega_m_mhz": (float, _REQUIRED),
-        "b": (float, 1.0),
-        "rabi_mhz": (float, _REQUIRED),
-        "tau_us": (float, _REQUIRED),
-        "tau_pi_us": (float, 0.0),
-        "gamma_d": (float, 0.0),
-        "nbar": (float, 0.0),
-        "phi_min": (float, -3.0),
-        "phi_max": (float, 3.0),
-        "n_points": (int, 400),
+        "omega_m_mhz": (float, _REQUIRED, _POSITIVE),
+        "b": (float, 1.0, None),
+        "rabi_mhz": (float, _REQUIRED, _NONNEGATIVE),
+        # the ODF phase axis divides by it
+        "tau_us": (float, _REQUIRED, _POSITIVE),
+        "tau_pi_us": (float, 0.0, _NONNEGATIVE),
+        "gamma_d": (float, 0.0, _NONNEGATIVE),
+        "nbar": (float, 0.0, _NONNEGATIVE),
+        "phi_min": (float, -3.0, None),
+        "phi_max": (float, 3.0, None),
+        "n_points": (int, 400, _COUNT),
     },
     "stark": {
-        "omega_plus_mhz": (float, _REQUIRED),
-        "omega_minus_mhz": (float, _REQUIRED),
-        "omega_pi_mhz": (float, _REQUIRED),
-        "delta_mhz": (float, _REQUIRED),
-        "delta_p_mhz": (float, units.YB171_P_HYPERFINE_MHZ),
-        "delta_s_mhz": (float, units.YB171_QUBIT_SPLITTING_MHZ),
-        "delta_b_mhz": (float, 4.6),
-        "gamma_clock": (float, 2e3),
-        "gamma_zeeman": (float, 2e3),
-        "t_max_us": (float, 10.0),
-        "n_points": (int, 400),
-        "fit": (bool, True),
+        "omega_plus_mhz": (float, _REQUIRED, _NONNEGATIVE),
+        "omega_minus_mhz": (float, _REQUIRED, _NONNEGATIVE),
+        "omega_pi_mhz": (float, _REQUIRED, _NONNEGATIVE),
+        "delta_mhz": (float, _REQUIRED, None),
+        "delta_p_mhz": (float, units.YB171_P_HYPERFINE_MHZ, None),
+        "delta_s_mhz": (float, units.YB171_QUBIT_SPLITTING_MHZ, None),
+        "delta_b_mhz": (float, 4.6, None),
+        "gamma_clock": (float, 2e3, _NONNEGATIVE),
+        "gamma_zeeman": (float, 2e3, _NONNEGATIVE),
+        "t_max_us": (float, 10.0, _POSITIVE),
+        "n_points": (int, 400, _COUNT),
+        "fit": (bool, True, None),
     },
-}
-
-
-# value checks on resolved params: key -> (predicate, requirement)
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_CHECKS = {
-    # tau_us: the ODF phase axis divides by it
-    **dict.fromkeys(("dt_ns", "gamma_mhz", "mass_amu", "tau_us", "nu_mhz",
-                     "omega_x_mhz", "omega_y_mhz", "omega_z_mhz",
-                     "omega_m_mhz", "t_final_us", "t_fix_us", "t_max_us"),
-                    _POSITIVE),
-    **dict.fromkeys(("nbar0", "heating_quanta_per_ms", "nbar", "rabi_mhz",
-                     "tau_pi_us", "gamma_d", "omega_sigma_plus_mhz",
-                     "omega_sigma_minus_mhz", "omega_pi_mhz",
-                     "omega_plus_mhz", "omega_minus_mhz", "gamma_clock",
-                     "gamma_zeeman"), _NONNEGATIVE),
-    "powers": (lambda v: all(type(x) in (int, float)
-                             and 0 <= x <= sys.float_info.max for x in v),
-               "entries must be finite numbers >= 0"),
 }
 
 
@@ -182,9 +173,6 @@ def _coerce(key, value, typ):
             raise ConfigError(f"params.{key}: must be finite, got {value!r}")
         return value
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
-        # every int key is a count or a truncation
-        if value < 1:
-            raise ConfigError(f"params.{key}: must be >= 1, got {value!r}")
         return value
     if typ is bool and isinstance(value, bool):
         return value
@@ -215,23 +203,22 @@ def validate_config(raw):
         raise ConfigError(f"params.{sorted(unknown)[0]}: unknown key "
                           f"for kind {kind!r}")
     resolved = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, allowed) in schema.items():
         if key in params:
-            resolved[key] = _coerce(key, params[key], typ)
+            value = _coerce(key, params[key], typ)
         elif default is _REQUIRED:
             raise ConfigError(f"params.{key}: required for kind {kind!r}")
         else:
-            resolved[key] = default
-    for key, (check, requirement) in _CHECKS.items():
-        if key in resolved and not check(resolved[key]):
-            raise ConfigError(
-                f"params.{key}: {requirement}, got {resolved[key]!r}")
+            value = default
+        if allowed and not allowed[0](value):
+            raise ConfigError(f"params.{key}: {allowed[1]}, got {value!r}")
+        resolved[key] = value
     out_dir = raw.get("output_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("output_dir: must be a string")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed: must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed: must be an integer >= 0, got {seed!r}")
     return ExperimentConfig(kind=kind, params=resolved,
                             output_dir=out_dir, seed=seed)
 
@@ -334,9 +321,9 @@ def _run_scan_detuning(cfg):
     ep, mode, kw = _cooling_inputs(p)
     deltas = units.mhz(np.linspace(p["scan_min_mhz"], p["scan_max_mhz"],
                                    p["n_points"]))
-    deltas, finals, argmin = detuning_scan(ep, mode, deltas,
-                                           p["t_fix_us"] * 1e-6, **kw)
-    is_argmin = np.isfinite(finals) & (deltas == argmin)
+    deltas, finals, _ = detuning_scan(ep, mode, deltas,
+                                      p["t_fix_us"] * 1e-6, **kw)
+    is_argmin = np.arange(deltas.size) == np.nanargmin(finals)
     return {"detuning_scan.csv": (
         ["relative_detuning_mhz", "nbar_final", "is_argmin"],
         [units.to_mhz(deltas), finals, is_argmin.astype(int)])}

@@ -35,9 +35,7 @@ def minimize(*args, **kwargs):
 
 
 class PlanarInstabilityError(RuntimeError):
-    def __init__(self, message, mode_index):
-        super().__init__(message)
-        self.mode_index = mode_index
+    pass
 
 
 @dataclass
@@ -243,8 +241,7 @@ def transverse_modes(c, positions):
     w2, b = np.linalg.eigh(K)
     if w2[0] <= 0:
         raise PlanarInstabilityError(
-            f"planar crystal unstable: mode 0 has omega^2 = {w2[0]:.3e}",
-            0)
+            f"planar crystal unstable: mode 0 has omega^2 = {w2[0]:.3e}")
     # eigh's basis inside an exactly degenerate subspace (relative
     # omega^2 gap below 1e-10, e.g. in-plane rotational symmetry) follows
     # rounding; replace it by one read off the subspace's projector

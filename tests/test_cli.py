@@ -1,9 +1,11 @@
 """Batch CLI: config validation, artifact generation, exit codes."""
 
+import ast
 import csv
 import io
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -178,6 +180,16 @@ class TestArtifacts:
         assert read_csv(tmp_path / "sideband.csv") == [["t_us", "P_up"],
                                                        ["0.0", "0.0"]]
 
+    def test_degenerate_detuning_scan_marks_one_argmin(self, tmp_path):
+        # both grid points sit at 3 MHz, so both reach the minimum
+        code, _ = cli.run("fig2e", CHEAP_OVERRIDES["fig2e"] + [
+            "params.scan_min_mhz=3", "params.scan_max_mhz=3",
+            f"output_dir={tmp_path}"])
+        assert code == 0
+        rows = read_csv(tmp_path / "detuning_scan.csv")
+        assert len(rows) == 3
+        assert [row[2] for row in rows[1:]].count("1") == 1
+
     def test_writer_converts_numpy_values(self):
         text = cli._artifact_text("table.csv", (
             ["x", "k", "s"], [np.array([1.5, 2.0]), np.arange(2), ["", ""]]))
@@ -271,6 +283,9 @@ class TestValidation:
         ("fig3a", "params.which=both", "params.which"),
         ("fig2b", "params.dt_ns=-4", "params.dt_ns"),
         ("fig3a", "params.powers=[-1]", "params.powers"),
+        # an empty scan, and a seed np.random.default_rng refuses
+        ("fig3a", "params.powers=[]", "params.powers"),
+        ("fig4", "seed=-1", "seed"),
         ("fig3a", "params.powers=[1.0, NaN]", "params.powers"),
         # integers beyond float range are config errors, not tracebacks
         pytest.param("fig2b", f"params.dt_ns={'9' * 400}", "params.dt_ns",
@@ -356,6 +371,39 @@ class TestValidation:
                        "grid_max_mhz": 120.0}})
         assert cfg.params["gamma_mhz"] == 19.6
         assert cfg.params["n_points"] == 400
+
+
+def test_schema_keys_read_and_defaults_allowed():
+    # a key its kind's runner never reads as p["key"] (directly or through
+    # a module-level helper it calls), or a default outside its own
+    # allowed range, is a table entry that does not say what run does
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def reads(name):
+        keys = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Subscript) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "p" \
+                    and isinstance(node.slice, ast.Constant):
+                keys.add(node.slice.value)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs:
+                keys |= reads(node.func.id)
+        return keys
+
+    unread, outside = [], []
+    for kind, schema in cli.SCHEMAS.items():
+        read = reads(cli._RUNNERS[kind].__name__)
+        for key, (_, default, allowed) in schema.items():
+            if key not in read:
+                unread.append(f"{kind}: {key}")
+            if default is not cli._REQUIRED and allowed \
+                    and not allowed[0](default):
+                outside.append(f"{kind}: {key} = {default!r}")
+    assert unread == [] and outside == []
 
 
 class TestOverrides:
