@@ -45,6 +45,7 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 # every int key is a count or a truncation
 _COUNT = (lambda v: v >= 1, "must be >= 1")
+_TWO_OR_MORE = (lambda v: v >= 2, "must be >= 2")
 _POWERS = (lambda v: len(v) > 0 and all(
     type(x) in (int, float) and 0 <= x <= sys.float_info.max for x in v),
     "must be a non-empty list of finite numbers >= 0")
@@ -77,7 +78,6 @@ SCHEMAS = {
         "grid_min_mhz": (float, _REQUIRED, None),
         "grid_max_mhz": (float, _REQUIRED, None),
         "n_points": (int, 400, _COUNT),
-        "numeric": (bool, True, None),
     },
     "cool": {
         **_COOL_KEYS,
@@ -106,7 +106,6 @@ SCHEMAS = {
         "omega_x_mhz": (float, _REQUIRED, _POSITIVE),
         "omega_y_mhz": (float, _REQUIRED, _POSITIVE),
         "omega_z_mhz": (float, _REQUIRED, _POSITIVE),
-        "mass_amu": (float, units.YB171_MASS_AMU, _POSITIVE),
     },
     "sideband": {
         "nu_mhz": (float, _REQUIRED, _POSITIVE),
@@ -136,14 +135,12 @@ SCHEMAS = {
         "omega_minus_mhz": (float, _REQUIRED, _NONNEGATIVE),
         "omega_pi_mhz": (float, _REQUIRED, _NONNEGATIVE),
         "delta_mhz": (float, _REQUIRED, None),
-        "delta_p_mhz": (float, units.YB171_P_HYPERFINE_MHZ, None),
-        "delta_s_mhz": (float, units.YB171_QUBIT_SPLITTING_MHZ, None),
         "delta_b_mhz": (float, 4.6, None),
         "gamma_clock": (float, 2e3, _NONNEGATIVE),
         "gamma_zeeman": (float, 2e3, _NONNEGATIVE),
         "t_max_us": (float, 10.0, _POSITIVE),
-        "n_points": (int, 400, _COUNT),
-        "fit": (bool, True, None),
+        # the fit needs two distinct times per trace
+        "n_points": (int, 400, _TWO_OR_MORE),
     },
 }
 
@@ -173,8 +170,6 @@ def _coerce(key, value, typ):
             raise ConfigError(f"params.{key}: must be finite, got {value!r}")
         return value
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if typ is bool and isinstance(value, bool):
         return value
     if typ is list and isinstance(value, list):
         return value
@@ -282,12 +277,11 @@ def _run_spectrum(cfg):
     grid = units.mhz(np.linspace(p["grid_min_mhz"], p["grid_max_mhz"],
                                  p["n_points"]))
     ana = spectrum_mod.absorption_analytic(ep, grid)
-    num = spectrum_mod.absorption_numeric(ep, grid) if p["numeric"] else None
+    num = spectrum_mod.absorption_numeric(ep, grid)
     out = {"spectrum.csv": (
         ["delta_pi_MHz", "W_analytic", "rho_ee_numeric"],
-        [units.to_mhz(grid), ana.values,
-         [""] * grid.size if num is None else num.values])}
-    if num is not None and num.failure_reasons:
+        [units.to_mhz(grid), ana.values, num.values])}
+    if num.failure_reasons:
         out["failures.json"] = [
             {"index": i, "delta_pi_MHz": units.to_mhz(grid[i]),
              "error": reason} for i, reason in num.failure_reasons.items()]
@@ -347,7 +341,7 @@ def _run_modes(cfg):
     p = cfg.params
     c = CrystalConfig.from_mhz(p["n_ions"], p["omega_x_mhz"],
                                p["omega_y_mhz"], p["omega_z_mhz"],
-                               mass_amu=p["mass_amu"], seed=cfg.seed)
+                               seed=cfg.seed)
     modes = transverse_modes(c, equilibrium_positions(c))
     return {"modes.json": {
         "n_ions": c.n_ions,
@@ -359,7 +353,7 @@ def _run_modes(cfg):
         },
         "trap_mhz": {k: units.to_mhz(getattr(c, k))
                      for k in ("omega_x", "omega_y", "omega_z")},
-        "mass_kg": c.mass,
+        "mass_kg": units.YB171_MASS,
         "positions_um": modes.positions * 1e6,
         "mode_frequencies_mhz": units.to_mhz(modes.frequencies),
         "participation_matrix": modes.b_matrix,
@@ -401,12 +395,16 @@ def _run_stark(cfg):
     p = cfg.params
     sp = stark_mod.StarkParams.from_mhz(
         p["omega_plus_mhz"], p["omega_minus_mhz"], p["omega_pi_mhz"],
-        p["delta_mhz"], delta_p=p["delta_p_mhz"], delta_s=p["delta_s_mhz"],
-        delta_b=p["delta_b_mhz"], gamma_clock=p["gamma_clock"],
-        gamma_zeeman=p["gamma_zeeman"])
+        p["delta_mhz"], p["delta_b_mhz"], p["gamma_clock"],
+        p["gamma_zeeman"])
     t = np.linspace(0.0, p["t_max_us"] * 1e-6, p["n_points"])
     traces = [stark_mod.ramsey_signal(sp, q, t) for q in stark_mod.QUBITS]
-    out = {
+    guess = sp.replace(omega_plus=sp.omega_plus * 1.1,
+                       omega_minus=sp.omega_minus * 0.9,
+                       omega_pi=sp.omega_pi * 1.05)
+    fr = stark_mod.fit_rabi_components([(t, y) for y in traces], guess)
+    omega = units.to_mhz(fr.params)
+    return {
         "ramsey.csv": (
             ["t_us", "P_clock", "P_zeeman_plus", "P_zeeman_minus"],
             [t * 1e6, *traces]),
@@ -417,15 +415,7 @@ def _run_stark(cfg):
             "zeeman_minus_shift_mhz":
                 units.to_mhz(stark_mod.shift(sp, "zeeman-")),
         },
-    }
-    if p["fit"]:
-        guess = sp.replace(omega_plus=sp.omega_plus * 1.1,
-                           omega_minus=sp.omega_minus * 0.9,
-                           omega_pi=sp.omega_pi * 1.05)
-        fr = stark_mod.fit_rabi_components(
-            [(t, y) for y in traces], guess)
-        omega = units.to_mhz(fr.params)
-        out["stark_fit.json"] = {
+        "stark_fit.json": {
             "omega_plus_mhz": omega[0],
             "omega_minus_mhz": omega[1],
             "omega_pi_mhz": omega[2],
@@ -434,10 +424,10 @@ def _run_stark(cfg):
             "wide_sigma": fr.wide_sigma,
             "b_field_alignment": stark_mod.b_field_alignment(fr.params),
             "delta_mhz": units.to_mhz(sp.delta),
-            "delta_p_mhz": units.to_mhz(sp.delta_p),
-            "delta_s_mhz": units.to_mhz(sp.delta_s),
-        }
-    return out
+            "delta_p_mhz": units.YB171_P_HYPERFINE_MHZ,
+            "delta_s_mhz": units.YB171_QUBIT_SPLITTING_MHZ,
+        },
+    }
 
 
 _RUNNERS = {

@@ -3,7 +3,7 @@
 Ions are confined to the y = 0 trap plane (x-z) during the structure
 search; planarity is certified afterwards by positivity of the
 transverse Hessian rather than assumed.  Lengths are scaled by
-l = (q^2 / (4 pi eps0 M wz^2))^(1/3) internally.
+l = (q^2 / (4 pi eps0 M wz^2))^(1/3) internally, M the Yb-171 mass.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,6 @@ class PlanarInstabilityError(RuntimeError):
 @dataclass
 class CrystalConfig:
     n_ions: int
-    mass: float                    # kg
     omega_x: float                 # rad/s (in-plane)
     omega_y: float                 # rad/s (transverse, out of plane)
     omega_z: float                 # rad/s (in-plane)
@@ -52,20 +51,17 @@ class CrystalConfig:
             raise ContractViolation("trap frequencies must be positive")
         if self.n_ions < 1:
             raise ContractViolation("need at least one ion")
-        if self.mass <= 0:
-            raise ContractViolation("ion mass must be positive")
 
     @classmethod
-    def from_mhz(cls, n_ions, omega_x, omega_y, omega_z,
-                 mass_amu=units.YB171_MASS_AMU, seed=0):
-        return cls(n_ions=n_ions, mass=mass_amu * units.AMU,
-                   omega_x=units.mhz(omega_x), omega_y=units.mhz(omega_y),
-                   omega_z=units.mhz(omega_z), seed=seed)
+    def from_mhz(cls, n_ions, omega_x, omega_y, omega_z, seed=0):
+        return cls(n_ions=n_ions, omega_x=units.mhz(omega_x),
+                   omega_y=units.mhz(omega_y), omega_z=units.mhz(omega_z),
+                   seed=seed)
 
     @property
     def length_scale(self):
         return (units.COULOMB_K
-                / (self.mass * self.omega_z**2))**(1.0 / 3.0)
+                / (units.YB171_MASS * self.omega_z**2))**(1.0 / 3.0)
 
 
 @dataclass
@@ -230,7 +226,7 @@ def transverse_modes(c, positions):
         raise ContractViolation(
             f"positions are not an equilibrium (|grad| = "
             f"{np.abs(g).max():.3e})")
-    kq = units.COULOMB_K / c.mass
+    kq = units.COULOMB_K / units.YB171_MASS
     d = pos[:, None, :] - pos[None, :, :]
     r = np.sqrt((d * d).sum(axis=2))
     np.fill_diagonal(r, np.inf)

@@ -18,6 +18,10 @@ from .numerics import ContractViolation, DegenerateFitError, fit_least_squares
 
 GUARD_BAND = units.mhz(0.5)     # minimum distance to any denominator zero
 
+# Yb-171 splittings, rad/s
+P_HYPERFINE = units.mhz(units.YB171_P_HYPERFINE_MHZ)
+QUBIT_SPLITTING = units.mhz(units.YB171_QUBIT_SPLITTING_MHZ)
+
 QUBITS = ("clock", "zeeman+", "zeeman-")
 
 
@@ -31,8 +35,6 @@ class StarkParams:
     omega_minus: float
     omega_pi: float
     delta: float                   # beam detuning, rad/s
-    delta_p: float                 # P hyperfine splitting, rad/s
-    delta_s: float                 # qubit splitting, rad/s
     delta_b: float                 # Zeeman splitting, rad/s
     gamma_clock: float             # clock envelope rate constant, 1/s
     gamma_zeeman: float            # Zeeman envelope rate constant, 1/s
@@ -43,15 +45,12 @@ class StarkParams:
                 "gamma_clock and gamma_zeeman must be >= 0")
 
     @classmethod
-    def from_mhz(cls, omega_plus, omega_minus, omega_pi, delta,
-                 delta_p=units.YB171_P_HYPERFINE_MHZ,
-                 delta_s=units.YB171_QUBIT_SPLITTING_MHZ, delta_b=0.0,
-                 gamma_clock=0.0, gamma_zeeman=0.0):
+    def from_mhz(cls, omega_plus, omega_minus, omega_pi, delta, delta_b,
+                 gamma_clock, gamma_zeeman):
         return cls(omega_plus=units.mhz(omega_plus),
                    omega_minus=units.mhz(omega_minus),
                    omega_pi=units.mhz(omega_pi),
-                   delta=units.mhz(delta), delta_p=units.mhz(delta_p),
-                   delta_s=units.mhz(delta_s), delta_b=units.mhz(delta_b),
+                   delta=units.mhz(delta), delta_b=units.mhz(delta_b),
                    gamma_clock=gamma_clock, gamma_zeeman=gamma_zeeman)
 
     def replace(self, **kw):
@@ -59,10 +58,11 @@ class StarkParams:
 
 
 def _guard(p, extra=()):
+    # delta_P is the P hyperfine splitting, delta_S the qubit splitting
     dens = {
         "delta": p.delta,
-        "delta_p - delta": p.delta_p - p.delta,
-        "delta_p + delta_s - delta": p.delta_p + p.delta_s - p.delta,
+        "delta_P - delta": P_HYPERFINE - p.delta,
+        "delta_P + delta_S - delta": P_HYPERFINE + QUBIT_SPLITTING - p.delta,
     }
     dens.update(extra)
     for name, val in dens.items():
@@ -79,7 +79,7 @@ def _coefficients(p, qubit):
     Ramsey envelope exp(-(decay_row @ x) t); the denominators of this
     qubit are guarded first.
     """
-    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
+    d, dp, ds, db = p.delta, P_HYPERFINE, QUBIT_SPLITTING, p.delta_b
     if qubit == "clock":
         _guard(p)
         far = 1.0 / (dp + ds - d)
@@ -92,7 +92,7 @@ def _coefficients(p, qubit):
     sign = +1 if qubit == "zeeman+" else -1
     _guard(p, {
         f"delta {'+' if sign > 0 else '-'} delta_b": d + sign * db,
-        f"delta_p - delta {'-' if sign > 0 else '+'} delta_b":
+        f"delta_P - delta {'-' if sign > 0 else '+'} delta_b":
             dp - d - sign * db,
     })
     far = 1.0 / (dp + ds - d)

@@ -354,14 +354,20 @@ def odf_signal(o, modes, nbars):
     modes is a ModeDecomposition (or anything with .frequencies and
     .b_matrix); nbars is the per-mode occupation.  Returns shape
     (n_ions,) for a scalar o.mu_r and one such row per detuning for an
-    array.
+    array.  FloatingPointError when any value is not finite (parameters
+    whose displacement overflows float range).
     """
     nbars = np.asarray(nbars, dtype=float)
     if nbars.size != np.size(modes.frequencies):
         raise ContractViolation("need one nbar per mode")
     acc = np.sum(_odf_alpha2(o, modes) * (2.0 * nbars + 1.0), axis=-1)
-    return 0.5 * (1.0 - np.exp(-2.0 * o.gamma_d * o.tau)
-                  * np.exp(-2.0 * acc))
+    pu = 0.5 * (1.0 - np.exp(-2.0 * o.gamma_d * o.tau) * np.exp(-2.0 * acc))
+    bad = np.count_nonzero(~np.isfinite(pu))
+    if bad:
+        raise FloatingPointError(
+            f"ODF signal not finite at {bad} of {pu.size} points: the "
+            "displacement overflows (rabi, tau or mu_r out of range)")
+    return pu
 
 
 def odf_height_to_nbar(height, o, modes, calibration=None, mode_index=None,

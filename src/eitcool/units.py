@@ -13,8 +13,9 @@ EPSILON_0 = 8.85418781e-12  # F/m
 ELEMENTARY_CHARGE = 1.60217663e-19  # C
 AMU = 1.66053907e-27        # kg
 
-# default Yb-171 values
+# Yb-171, the one species modelled
 YB171_MASS_AMU = 170.936332
+YB171_MASS = YB171_MASS_AMU * AMU   # kg
 YB171_S_P_WAVELENGTH_NM = 369.5
 YB171_GAMMA_MHZ = 19.6          # P1/2 natural linewidth / 2pi
 YB171_P_HYPERFINE_MHZ = 2105.0  # P1/2 hyperfine splitting
@@ -27,7 +28,7 @@ def lamb_dicke(nu):
     """Lamb-Dicke factor k sqrt(hbar / (2 M nu)) of a Yb-171 mode at nu
     (rad/s, scalar or array) for the 369.5 nm beams."""
     k = 2.0 * np.pi / (YB171_S_P_WAVELENGTH_NM * 1e-9)
-    return k * np.sqrt(HBAR / (2.0 * YB171_MASS_AMU * AMU * nu))
+    return k * np.sqrt(HBAR / (2.0 * YB171_MASS * nu))
 
 
 def mhz(value):

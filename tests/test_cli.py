@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from eitcool import cli, cooling, stark
+from eitcool import cli, cooling, stark, units
 
 CHEAP_OVERRIDES = {
     "fig1b": ["params.n_points=12"],
@@ -26,8 +26,10 @@ CHEAP_OVERRIDES = {
               "params.n_times=3", "params.n_max=6", "params.dt_ns=8"],
     "fig4": ["params.n_ions=3"],
     "fig4d": ["params.n_points=30"],
-    "appendixE-drive": ["params.fit=false", "params.n_points=100"],
-    "appendixE-probe": ["params.fit=false", "params.n_points=100"],
+    # sizes at which the Rabi fit recovers the preset's components (the
+    # benchmark's smoke sizes)
+    "appendixE-drive": ["params.n_points=400"],
+    "appendixE-probe": ["params.n_points=600"],
 }
 
 EXPECTED_ARTIFACTS = {
@@ -40,8 +42,8 @@ EXPECTED_ARTIFACTS = {
     "fig3b": ["power_scan.csv"],
     "fig4": ["modes.json"],
     "fig4d": ["odf_spectrum.csv"],
-    "appendixE-drive": ["ramsey.csv", "stark_shifts.json"],
-    "appendixE-probe": ["ramsey.csv", "stark_shifts.json"],
+    "appendixE-drive": ["ramsey.csv", "stark_shifts.json", "stark_fit.json"],
+    "appendixE-probe": ["ramsey.csv", "stark_shifts.json", "stark_fit.json"],
 }
 
 
@@ -70,8 +72,7 @@ class TestPresets:
 class TestManifest:
     def test_manifest_contents(self, tmp_path):
         code, artifacts = cli.run(
-            "fig5", ["params.n_points=8", "params.numeric=false",
-                     f"output_dir={tmp_path}"])
+            "fig5", ["params.n_points=8", f"output_dir={tmp_path}"])
         assert code == 0
         with open(tmp_path / "manifest.json") as fh:
             m = json.load(fh)
@@ -139,15 +140,6 @@ class TestArtifacts:
         first = [float(v) for v in rows[1]]
         assert abs(first[0] - 40.0) < 1e-9
 
-    def test_spectrum_csv_analytic_only(self, tmp_path):
-        code, _ = cli.run("fig5", ["params.grid_min_mhz=40",
-                                   "params.grid_max_mhz=70",
-                                   "params.n_points=5", "params.numeric=false",
-                                   f"output_dir={tmp_path}"])
-        assert code == 0
-        rows = read_csv(tmp_path / "spectrum.csv")
-        assert all(row[2] == "" for row in rows[1:])
-
     def test_modes_json_roundtrip(self, tmp_path):
         code, _ = cli.run("fig4", ["params.n_ions=3",
                                    f"output_dir={tmp_path}"])
@@ -158,6 +150,7 @@ class TestArtifacts:
         assert len(data["mode_frequencies_mhz"]) == 3
         assert abs(max(data["mode_frequencies_mhz"]) - 1.22) < 1e-6
         assert len(data["positions_um"]) == 3
+        assert data["mass_kg"] == units.YB171_MASS
         for name in ("modes.json", "manifest.json"):
             with open(tmp_path / name) as fh:
                 keys = list(json.load(fh))
@@ -172,6 +165,8 @@ class TestArtifacts:
         assert abs(data["omega_minus_mhz"] - 16.74) < 0.01
         assert abs(data["omega_pi_mhz"] - 1.72) < 0.01
         assert isinstance(data["wide_sigma"], bool)
+        assert data["delta_p_mhz"] == units.YB171_P_HYPERFINE_MHZ
+        assert data["delta_s_mhz"] == units.YB171_QUBIT_SPLITTING_MHZ
 
     def test_single_point_sideband_csv(self, tmp_path):
         code, _ = cli.run("fig2d", ["params.n_points=1",
@@ -318,8 +313,6 @@ class TestValidation:
         ("fig4d", "params.tau_pi_us=-1", "params.tau_pi_us"),
         ("fig4d", "params.gamma_d=-1", "params.gamma_d"),
         ("fig4d", "params.nbar=-1", "params.nbar"),
-        ("fig4", "params.mass_amu=-1", "params.mass_amu"),
-        ("fig4", "params.mass_amu=0", "params.mass_amu"),
         ("fig2b", "params.t_final_us=-1", "params.t_final_us"),
         ("fig2e", "params.t_fix_us=-1", "params.t_fix_us"),
         ("fig1b", "params.omega_pi_mhz=-1", "params.omega_pi_mhz"),
@@ -336,6 +329,8 @@ class TestValidation:
         ("fig2b", "params.t_final_us=0", "params.t_final_us"),
         ("fig2d", "params.nu_mhz=NaN", "params.nu_mhz"),
         ("fig5", "params.grid_max_mhz=Infinity", "params.grid_max_mhz"),
+        # the Rabi fit needs two distinct times per trace
+        ("appendixE-drive", "params.n_points=1", "params.n_points"),
     ])
     def test_out_of_range_value_exit_code(self, preset, override, key,
                                           tmp_path, capsys):
@@ -346,6 +341,17 @@ class TestValidation:
         assert code == 1 and artifacts == []
         assert key in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # Yb-171 is the one species: its mass and splittings are constants,
+    # and every spectrum is solved and every Stark run fitted
+    @pytest.mark.parametrize("preset, key", [
+        ("fig4", "mass_amu"), ("fig5", "numeric"),
+        ("appendixE-drive", "delta_p_mhz"),
+        ("appendixE-drive", "delta_s_mhz"), ("appendixE-drive", "fit")])
+    def test_fixed_value_key_unknown(self, preset, key, capsys):
+        assert cli.main(["validate", preset, "--set",
+                         f"params.{key}=170"]) == 1
+        assert f"params.{key}: unknown key" in capsys.readouterr().err
 
     def test_huge_int_in_config_file_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "huge.json"
@@ -465,12 +471,26 @@ class TestFailurePaths:
         assert [p.name for p in tmp_path.iterdir()] == ["sideband.csv"]
 
     def test_one_point_stark_fit_names_the_minimum(self, tmp_path, capsys):
+        # refused as a config error, before any trace is computed
         code, artifacts = cli.run(
             "appendixE-drive", ["params.n_points=1",
                                 f"output_dir={tmp_path}"])
+        assert code == 1 and artifacts == []
+        assert capsys.readouterr().err == (
+            "error: params.n_points: must be >= 2, got 1\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("override", [
+        "params.tau_us=1e-300", "params.rabi_mhz=1e300"])
+    def test_overflowing_odf_signal_writes_nothing(self, override, tmp_path,
+                                                   capsys):
+        with np.errstate(all="ignore"):
+            code, artifacts = cli.run(
+                "fig4d", [override, f"output_dir={tmp_path}"])
         assert code == 2 and artifacts == []
         err = capsys.readouterr().err
-        assert "ContractViolation" in err and "at least 2 distinct" in err
+        assert "numerical failure: FloatingPointError: " in err
+        assert "overflows" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_truncated_sideband_mixture_writes_nothing(self, tmp_path,

@@ -22,11 +22,6 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             make(0)
 
-    @pytest.mark.parametrize("mass_amu", [0.0, -1.0])
-    def test_nonpositive_mass_rejected(self, mass_amu):
-        with pytest.raises(ContractViolation, match="mass"):
-            CrystalConfig.from_mhz(3, 1.22, 0.42, 1.22, mass_amu=mass_amu)
-
     def test_length_scale_magnitude(self):
         # micrometer scale for MHz traps and Yb mass
         c = make(2)

@@ -38,14 +38,15 @@ def test_negative_envelope_rate_rejected(key):
 class TestShifts:
     def test_clock_pi_only_closed_form(self):
         p = DRIVE.replace(omega_plus=0.0, omega_minus=0.0)
-        d, dp, ds = p.delta, p.delta_p, p.delta_s
+        d, dp, ds = p.delta, stark.P_HYPERFINE, stark.QUBIT_SPLITTING
         expected = p.omega_pi**2 * (1.0 / d + 1.0 / (dp + ds - d))
         assert abs(shift(p, "clock") - expected) < 1e-9 * abs(expected)
 
     def test_zeeman_near_component_dominates(self):
         # only the counter-rotating sigma component survives near detuning
         p = DRIVE.replace(omega_pi=0.0, omega_plus=0.0)
-        d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
+        d, db = p.delta, p.delta_b
+        dp, ds = stark.P_HYPERFINE, stark.QUBIT_SPLITTING
         expected = p.omega_minus**2 * (1.0 / (d + db)
                                        - 1.0 / (dp - d - db)
                                        + 1.0 / (dp + ds - d))
@@ -72,7 +73,7 @@ class TestShifts:
 
     def test_exact_zero_denominator_is_guarded(self):
         # the guard runs before any division by the denominator
-        p = DRIVE.replace(delta=DRIVE.delta_p + DRIVE.delta_s)
+        p = DRIVE.replace(delta=stark.P_HYPERFINE + stark.QUBIT_SPLITTING)
         for q in QUBITS:
             with pytest.raises(NearResonanceError):
                 ramsey_signal(p, q, [1e-6])
@@ -99,7 +100,8 @@ class TestShifts:
 
 def _explicit_shift(p, qubit):
     """Each qubit's differential shift written out term by term."""
-    d, dp, ds, db = p.delta, p.delta_p, p.delta_s, p.delta_b
+    d, db = p.delta, p.delta_b
+    dp, ds = stark.P_HYPERFINE, stark.QUBIT_SPLITTING
     if qubit == "clock":
         return (p.omega_pi**2 * (1.0 / d + 1.0 / (dp + ds - d))
                 + (p.omega_minus**2 + p.omega_plus**2)
@@ -116,7 +118,7 @@ def _explicit_shift(p, qubit):
 
 def _explicit_ramsey(p, qubit, t):
     """sin^2(shift t) times each qubit's decay envelopes, written out."""
-    d, dp = p.delta, p.delta_p
+    d, dp = p.delta, stark.P_HYPERFINE
     if qubit == "clock":
         env = (np.exp(-p.gamma_clock * p.omega_pi**2 * t / d**2)
                * np.exp(-p.gamma_clock

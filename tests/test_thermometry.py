@@ -524,6 +524,16 @@ class TestOdf:
         with pytest.raises(ContractViolation, match="positive"):
             odf_alpha(o, (np.nan, 1.0))
 
+    @pytest.mark.parametrize("kw", [{"tau": 1e-306}, {"rabi_mhz": 1e300}],
+                             ids=["tau", "rabi"])
+    def test_overflowing_signal_raises(self, kw):
+        # mu_r - omega_m = 2 pi phi / tau, or the displacement amplitude,
+        # past float range: the closed form is NaN, not a population
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="overflows"):
+            odf_signal(odf_at_phi(np.linspace(-3.0, 3.0, 40), **kw),
+                       ODF_MODE, [1.04])
+
     def test_signal_monotone_in_nbar(self):
         o = odf_at_phi(0.37)
         vals = [odf_signal(o, ODF_MODE, [nb])[0]
